@@ -45,10 +45,12 @@ from .risk import (
     ExpectedLoss,
     PredictionAssignment,
     TooManyUncertainRegionsError,
+    ce_curve,
     expected_ce,
     expected_sd_binomial,
     expected_sd_exhaustive,
     scenario_prediction,
+    sd_binomial_curve,
 )
 from .stats import (
     BootstrapResult,

@@ -88,11 +88,14 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _sorted_floats(cfg, key) -> list[float]:
-    values = [float(v) for v in _require(cfg, key)]
-    if not values:
+def _sorted_numbers(cfg, key, cast=float) -> list:
+    values = _require(cfg, key)
+    if not isinstance(values, list) or not values:
         raise CliError(f"config key {key!r} must be a nonempty list")
-    return sorted(values)
+    try:
+        return sorted(cast(v) for v in values)
+    except (TypeError, ValueError):
+        raise CliError(f"config key {key!r} must hold only numbers")
 
 
 def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
@@ -106,9 +109,9 @@ def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
 
 
 def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = sorted(int(k) for k in _require(cfg, "k_list"))
-    mu_list = _sorted_floats(cfg, "mu_list")
-    p_grid = _sorted_floats(cfg, "p_beta_grid")
+    k_list = _sorted_numbers(cfg, "k_list", int)
+    mu_list = _sorted_numbers(cfg, "mu_list")
+    p_grid = _sorted_numbers(cfg, "p_beta_grid")
     n_points = int(cfg.get("p_tilde_grid_size", 101))
     if n_points < 2:
         raise CliError("p_tilde_grid_size must be >= 2")
@@ -129,9 +132,9 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
 
 def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = sorted(int(k) for k in _require(cfg, "k_list"))
-    mu_list = _sorted_floats(cfg, "mu_list")
-    p_grid = _sorted_floats(cfg, "p_beta_grid")
+    k_list = _sorted_numbers(cfg, "k_list", int)
+    mu_list = _sorted_numbers(cfg, "mu_list")
+    p_grid = _sorted_numbers(cfg, "p_beta_grid")
     s_alpha = float(cfg.get("s_alpha", 100.0))
     s_gamma = float(cfg.get("s_gamma", 1.0))
     grid = int(cfg.get("grid", 101))

@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .regions import RegionModel, ScenarioSpec, expand_scenario
-from .risk import PredictionAssignment, expected_ce, expected_sd_binomial, scenario_prediction
+from .regions import RegionModel, ScenarioSpec
+from .risk import PredictionAssignment, ce_curve, expected_sd_binomial, sd_binomial_curve
 
 __all__ = [
     "RiskCurve",
@@ -136,7 +136,7 @@ def sd_minimizer(spec: ScenarioSpec, grid: int = 101, refine_tol: float = 1e-6) 
         return expected_sd_binomial(spec, q).value
 
     qs = np.linspace(0.0, 1.0, grid)
-    vals = np.array([f(q) for q in qs])
+    vals = sd_binomial_curve(spec, qs)
     i = int(np.argmin(vals))  # first minimum: ties lean toward 0
 
     lo = qs[max(i - 1, 0)]
@@ -159,10 +159,9 @@ def risk_curve(spec: ScenarioSpec, loss_kind: str, n_points: int) -> RiskCurve:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
     qs = np.linspace(0.0, 1.0, n_points)
     if loss_kind == "sd":
-        vals = np.array([expected_sd_binomial(spec, q).value for q in qs])
+        vals = sd_binomial_curve(spec, qs)
     elif loss_kind == "ce":
-        model = expand_scenario(spec)
-        vals = np.array([expected_ce(model, scenario_prediction(model, q)).value for q in qs])
+        vals = ce_curve(spec, qs)
     else:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")
     return RiskCurve(qs, vals, spec, loss_kind)
@@ -214,8 +213,8 @@ def find_switch_point(
         raise ValueError("tolerance must be > 0")
 
     def gap(p: float) -> float:
-        spec = _scenario(k, mu, p, s_alpha, s_gamma)
-        return expected_sd_binomial(spec, 1.0).value - expected_sd_binomial(spec, 0.0).value
+        at_0, at_1 = sd_binomial_curve(_scenario(k, mu, p, s_alpha, s_gamma), (0.0, 1.0))
+        return at_1 - at_0
 
     lo, hi = 0.0, 1.0
     g_lo, g_hi = gap(lo), gap(hi)

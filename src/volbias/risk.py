@@ -15,7 +15,6 @@ formulation is recovered when every region is a single unit-volume voxel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -31,6 +30,8 @@ __all__ = [
     "expected_ce",
     "expected_sd_exhaustive",
     "expected_sd_binomial",
+    "sd_binomial_curve",
+    "ce_curve",
 ]
 
 # 2^24 configurations keep a full sweep under seconds; beyond that the
@@ -105,10 +106,20 @@ def expected_ce(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:
     enumeration is ever needed.
     """
     _check_assignment(model, pred)
-    p = model.probabilities
-    q = np.clip(pred.p_pred, LOG_EPS, 1.0 - LOG_EPS)
-    value = float(model.volumes @ (-p * np.log(q) - (1.0 - p) * np.log(1.0 - q)))
+    value = float(model.volumes @ _ce_terms(model.probabilities, pred.p_pred))
     return ExpectedLoss(value, config_count=1, method="closed_form")
+
+
+def ce_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
+    """Expected cross-entropy of a scenario at every shared uncertain prediction.
+
+    The closed form of :func:`expected_ce` for the predictions
+    (0, q, ..., q, 1), one column per entry q of ``p_tilde``.
+    """
+    q = _prediction_grid(p_tilde)
+    model = expand_scenario(spec)
+    preds = np.vstack((np.zeros(q.size), np.broadcast_to(q, (len(model) - 2, q.size)), np.ones(q.size)))
+    return model.volumes @ _ce_terms(model.probabilities[:, None], preds)
 
 
 def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:
@@ -154,32 +165,78 @@ def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> Ex
         logw[:size] += np.log1p(-p[j])
         size *= 2
 
-    denom = target + pred_sum
-    sd = np.where(denom > 0.0, 1.0 - 2.0 * inter / np.where(denom > 0.0, denom, 1.0), 0.0)
-    value = float(np.exp(logw) @ sd)
+    value = float(np.exp(logw) @ _sd_ratio(inter, target + pred_sum))
     return ExpectedLoss(value, config_count=n_cfg, method="exhaustive")
 
 
 def expected_sd_binomial(spec: ScenarioSpec, p_tilde_beta: float) -> ExpectedLoss:
+    """Expected soft-Dice loss of a homogeneous scenario at one shared prediction.
+
+    The single-point form of :func:`sd_binomial_curve`.
+    """
+    value = float(sd_binomial_curve(spec, [p_tilde_beta])[0])
+    return ExpectedLoss(value, config_count=spec.k_regions + 1, method="binomial")
+
+
+def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     """Expected soft-Dice loss of a homogeneous scenario via binomial sums.
 
     With K interchangeable uncertain regions, the loss of a configuration
-    depends only on how many of them are labeled foreground, so the 2^K
-    enumeration collapses to K+1 binomially weighted terms. Background is
-    predicted 0 and certain foreground 1, their risk-optimal values.
+    depends only on the count m of them labeled foreground, so the 2^K
+    enumeration collapses to K+1 binomially weighted terms:
+    E[SD](q) = B(p) . SD(m, q). The weights B(p) do not depend on q, so
+    every entry q of ``p_tilde`` is evaluated by one matrix product.
+    Background is predicted 0 and certain foreground 1, their risk-optimal
+    values.
     """
-    if not 0.0 <= p_tilde_beta <= 1.0:
-        raise ValueError(f"p_tilde_beta must lie in [0, 1], got {p_tilde_beta}")
-    k = spec.k_regions
-    p = spec.p_beta
+    q = _prediction_grid(p_tilde)
+    k = int(spec.k_regions)
+    m = np.arange(k + 1)[:, None]
     beta_volume = spec.mu * spec.s_gamma / k
-    pred_sum = spec.mu * spec.s_gamma * p_tilde_beta + spec.s_gamma
-
-    m = np.arange(k + 1)
-    weights = np.array([comb(k, int(i)) for i in m], dtype=float) * p**m * (1.0 - p) ** (k - m)
-    inter = m * beta_volume * p_tilde_beta + spec.s_gamma
+    pred_sum = spec.mu * spec.s_gamma * q + spec.s_gamma
+    inter = m * beta_volume * q + spec.s_gamma
     target = m * beta_volume + spec.s_gamma
-    denom = target + pred_sum
-    sd = np.where(denom > 0.0, 1.0 - 2.0 * inter / np.where(denom > 0.0, denom, 1.0), 0.0)
-    value = float(weights @ sd)
-    return ExpectedLoss(value, config_count=k + 1, method="binomial")
+    return _binomial_weights(k, spec.p_beta) @ _sd_ratio(inter, target + pred_sum)
+
+
+def _prediction_grid(p_tilde) -> np.ndarray:
+    q = np.asarray(p_tilde, dtype=float)
+    if q.ndim != 1:
+        raise ValueError(f"predictions must be one-dimensional, got shape {q.shape}")
+    if not np.all((q >= 0.0) & (q <= 1.0)):
+        raise ValueError("predictions must lie in [0, 1]")
+    return q
+
+
+def _binomial_weights(k: int, p: float) -> np.ndarray:
+    """Binomial(k, p) probabilities of m = 0..k.
+
+    Computed in log space, log C(k, m) as a running sum of
+    log((k - i + 1) / i), so no binomial coefficient is ever formed and no
+    k is too large to represent. p in {0, 1} puts all mass on one count.
+    """
+    if p == 0.0 or p == 1.0:
+        weights = np.zeros(k + 1)
+        weights[0 if p == 0.0 else k] = 1.0
+        return weights
+    i = np.arange(1, k + 1)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - i + 1) / i))))
+    m = np.arange(k + 1)
+    # C(k, m) = C(k, k - m): the shorter running sum carries less rounding.
+    log_comb = np.where(m <= k - m, log_comb, log_comb[::-1])
+    return np.exp(log_comb + m * np.log(p) + (k - m) * np.log1p(-p))
+
+
+def _sd_ratio(inter, denom):
+    """Soft-Dice loss 1 - 2 * inter / denom, elementwise; 0 where denom is 0.
+
+    An empty target predicted empty is a perfect match.
+    """
+    positive = denom > 0.0
+    return np.where(positive, 1.0 - 2.0 * inter / np.where(positive, denom, 1.0), 0.0)
+
+
+def _ce_terms(p, q):
+    """Expected CE per entry, -p log q - (1-p) log(1-q), with q clamped by LOG_EPS."""
+    q = np.clip(q, LOG_EPS, 1.0 - LOG_EPS)
+    return -p * np.log(q) - (1.0 - p) * np.log(1.0 - q)

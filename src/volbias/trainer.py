@@ -429,8 +429,9 @@ def train(
     Images are split 60/20/20 into train/validation/test by a seeded
     permutation. Optimization is deterministic full-batch descent with
     adaptive moment scaling (see :func:`_fit`); the validation loss drives
-    the plateau schedule and model selection, and soft and thresholded
-    volume errors are measured on the test images.
+    the plateau schedule and the stopping rule, the last iterate is the
+    trained model, and soft and thresholded volume errors are measured on
+    the test images.
     """
     if loss_kind not in DEFAULT_LR:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,31 @@ class TestDeterminismAndErrors:
         bad.write_text("{not json")
         assert run(["risk-curve", "--config", bad, "--out", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
+    @pytest.mark.parametrize(
+        "override",
+        [{"p_beta_grid": 0.5}, {"k_list": 4}, {"k_list": []}, {"k_list": [None]}, {"mu_list": ["x"]}],
+    )
+    def test_malformed_grid_fails_cleanly(self, tmp_path, capsys, command, override):
+        cfg = write_config(tmp_path, "cfg.json", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], **override})
+        assert run([command, "--config", cfg, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
+    def test_large_k_writes_finite_rows(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"k_list": [2000], "mu_list": [1.0], "p_beta_grid": [0.25, 0.75], "p_tilde_grid_size": 11},
+        )
+        assert run([command, "--config", cfg, "--out", tmp_path]) == 0
+        (path,) = tmp_path.glob("*.csv")
+        rows = read_rows(path)
+        assert len(rows) == (22 if command == "risk-curve" else 2)
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = write_config(

@@ -1,6 +1,7 @@
 """Exact expected losses: hand enumerations, route equivalence, Monte Carlo."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from volbias import (
     ScenarioSpec,
     SoftMap,
     TooManyUncertainRegionsError,
+    ce_curve,
     cross_entropy,
     expand_scenario,
     expected_ce,
@@ -20,8 +22,10 @@ from volbias import (
     expected_sd_exhaustive,
     sample_labeling,
     scenario_prediction,
+    sd_binomial_curve,
     soft_dice_loss,
 )
+from volbias.risk import _binomial_weights
 
 
 def scenario(s_alpha, s_gamma, mu, k, p):
@@ -30,6 +34,29 @@ def scenario(s_alpha, s_gamma, mu, k, p):
 
 def mc_sample_labels(model, n, seed):
     return np.array([sample_labeling(model, s).labels for s in range(seed, seed + n)], dtype=float)
+
+
+def exact_binomial_weights(k, p):
+    """Binomial(k, p) probabilities in exact rational arithmetic, rounded once."""
+    p = Fraction(p)
+    return np.array([float(math.comb(k, m) * p**m * (1 - p) ** (k - m)) for m in range(k + 1)])
+
+
+def binomial_reference(spec, qs):
+    """Per-prediction loop over the K+1 foreground counts with exact weights."""
+    k = spec.k_regions
+    beta_volume = spec.mu * spec.s_gamma / k
+    weights = exact_binomial_weights(k, spec.p_beta)
+    values = []
+    for q in qs:
+        pred_sum = spec.mu * spec.s_gamma * q + spec.s_gamma
+        total = 0.0
+        for m in range(k + 1):
+            inter = m * beta_volume * q + spec.s_gamma
+            denom = m * beta_volume + spec.s_gamma + pred_sum
+            total += weights[m] * (1.0 - 2.0 * inter / denom if denom > 0.0 else 0.0)
+        values.append(total)
+    return np.array(values)
 
 
 class TestExpectedCe:
@@ -63,6 +90,14 @@ class TestExpectedCe:
         samples = np.array([cross_entropy(HardMap(l, weights=w), SoftMap(pred.p_pred, weights=w)) for l in labels])
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - expected_ce(model, pred).value) < 4 * se
+
+    def test_curve_matches_pointwise_closed_form(self):
+        qs = np.linspace(0, 1, 101)
+        for k in (1, 4, 16):
+            spec = scenario(100, 1, 2.0, k, 0.3)
+            model = expand_scenario(spec)
+            loop = [expected_ce(model, scenario_prediction(model, q)).value for q in qs]
+            np.testing.assert_allclose(ce_curve(spec, qs), loop, rtol=1e-13, atol=0)
 
 
 class TestExpectedSdExhaustive:
@@ -126,15 +161,22 @@ class TestExpectedSdBinomial:
 
     def test_agrees_with_exhaustive_on_benchmark_grid(self):
         qs = np.linspace(0, 1, 101)
-        for k in (1, 4):
+        for k in (1, 4, 16):
             for mu in (0.25, 1.0, 4.0):
-                for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+                for p in (0.0, 0.25, 0.3, 0.5, 0.75, 1.0):
                     spec = scenario(100, 1, mu, k, p)
                     model = expand_scenario(spec)
-                    for q in qs[::10]:
+                    curve = sd_binomial_curve(spec, qs)
+                    assert np.max(np.abs(curve - binomial_reference(spec, qs))) <= 1e-14
+                    for q, batched in zip(qs[::10], curve[::10]):
                         ex = expected_sd_exhaustive(model, scenario_prediction(model, q)).value
                         bi = expected_sd_binomial(spec, q).value
-                        assert abs(ex - bi) < 1e-12
+                        assert abs(ex - bi) < 1e-12 and abs(ex - batched) < 1e-12
+
+    @pytest.mark.parametrize("k", [16, 384])
+    def test_log_space_weights_match_exact_binomial(self, k):
+        for p in (0.0, 0.001, 0.05, 0.3, 0.5, 0.75, 0.97, 1.0):
+            assert np.max(np.abs(_binomial_weights(k, p) - exact_binomial_weights(k, p))) <= 1e-13
 
     def test_loss_in_unit_interval_on_grid(self):
         qs = np.linspace(0, 1, 41)
@@ -165,6 +207,11 @@ class TestPredictionAssignment:
     def test_values_must_be_probabilities(self):
         with pytest.raises(ValueError):
             PredictionAssignment([0.5, 1.2])
+        spec = scenario(100, 1, 1.0, 4, 0.5)
+        for curve in (sd_binomial_curve, ce_curve):
+            for bad in ([0.5, 1.2], [-0.1], [np.nan], [[0.5]]):
+                with pytest.raises(ValueError):
+                    curve(spec, bad)
 
     def test_scenario_prediction_shape(self):
         spec = scenario(100, 1, 4.0, 4, 0.5)
