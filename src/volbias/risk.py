@@ -165,7 +165,8 @@ def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> Ex
         logw[:size] += np.log1p(-p[j])
         size *= 2
 
-    value = float(np.exp(logw) @ _sd_ratio(inter, target + pred_sum))
+    sd = _sd_ratio(inter, target + pred_sum)  # before exp(logw): one array fewer alive at the peak
+    value = float(np.exp(logw) @ sd)
     return ExpectedLoss(value, config_count=n_cfg, method="exhaustive")
 
 
