@@ -14,6 +14,7 @@ formulation is recovered when every region is a single unit-volume voxel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,11 +193,10 @@ def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     """
     q = _prediction_grid(p_tilde)
     k = int(spec.k_regions)
-    m = np.arange(k + 1)[:, None]
-    beta_volume = spec.mu * spec.s_gamma / k
+    m_volume = np.arange(k + 1)[:, None] * (spec.mu * spec.s_gamma / k)
     pred_sum = spec.mu * spec.s_gamma * q + spec.s_gamma
-    inter = m * beta_volume * q + spec.s_gamma
-    target = m * beta_volume + spec.s_gamma
+    inter = m_volume * q + spec.s_gamma
+    target = m_volume + spec.s_gamma
     return _binomial_weights(k, spec.p_beta) @ _sd_ratio(inter, target + pred_sum)
 
 
@@ -214,18 +214,19 @@ def _binomial_weights(k: int, p: float) -> np.ndarray:
 
     Computed in log space, log C(k, m) as a running sum of
     log((k - i + 1) / i), so no binomial coefficient is ever formed and no
-    k is too large to represent. p in {0, 1} puts all mass on one count.
+    k is too large to represent. The sum runs to m = k/2 only and is
+    mirrored by C(k, m) = C(k, k - m), which halves its rounding. p in
+    {0, 1} puts all mass on one count.
     """
     if p == 0.0 or p == 1.0:
         weights = np.zeros(k + 1)
         weights[0 if p == 0.0 else k] = 1.0
         return weights
-    i = np.arange(1, k + 1)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - i + 1) / i))))
+    i = np.arange(1, k // 2 + 1)
+    head = np.concatenate(([0.0], np.cumsum(np.log((k - i + 1) / i))))
+    log_comb = np.concatenate((head, head[(k - 1) // 2 :: -1]))
     m = np.arange(k + 1)
-    # C(k, m) = C(k, k - m): the shorter running sum carries less rounding.
-    log_comb = np.where(m <= k - m, log_comb, log_comb[::-1])
-    return np.exp(log_comb + m * np.log(p) + (k - m) * np.log1p(-p))
+    return np.exp(log_comb + m * math.log(p) + (k - m) * math.log1p(-p))
 
 
 def _sd_ratio(inter, denom):
