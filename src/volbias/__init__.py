@@ -39,6 +39,7 @@ from .regions import (
     configuration_volume,
     expand_scenario,
     sample_labeling,
+    sample_labelings,
     true_expected_volume,
 )
 from .risk import (

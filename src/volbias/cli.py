@@ -88,14 +88,26 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _sorted_numbers(cfg, key, cast=float) -> list:
-    values = _require(cfg, key)
+def _list(cfg, key, cast=float, default=None) -> list:
+    """``cfg[key]`` as a nonempty list, each entry cast; required where there is no default."""
+    values = _require(cfg, key) if default is None else cfg.get(key, default)
     if not isinstance(values, list) or not values:
         raise CliError(f"config key {key!r} must be a nonempty list")
     try:
-        return sorted(cast(v) for v in values)
-    except (TypeError, ValueError):
-        raise CliError(f"config key {key!r} must hold only numbers")
+        return [cast(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"config key {key!r} holds a bad entry: {exc}")
+
+
+def _number(cfg, key, default, cast=float):
+    """``cfg[key]`` (``default`` when absent) cast to a number; None stays None where the default is None."""
+    value = cfg.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"config key {key!r} must be a number, got {value!r}")
 
 
 def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
@@ -109,14 +121,14 @@ def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
 
 
 def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = _sorted_numbers(cfg, "k_list", int)
-    mu_list = _sorted_numbers(cfg, "mu_list")
-    p_grid = _sorted_numbers(cfg, "p_beta_grid")
-    n_points = int(cfg.get("p_tilde_grid_size", 101))
+    k_list = sorted(_list(cfg, "k_list", int))
+    mu_list = sorted(_list(cfg, "mu_list"))
+    p_grid = sorted(_list(cfg, "p_beta_grid"))
+    s_alpha = _number(cfg, "s_alpha", 100.0)
+    s_gamma = _number(cfg, "s_gamma", 1.0)
+    n_points = _number(cfg, "p_tilde_grid_size", 101, int)
     if n_points < 2:
         raise CliError("p_tilde_grid_size must be >= 2")
-    s_alpha = float(cfg.get("s_alpha", 100.0))
-    s_gamma = float(cfg.get("s_gamma", 1.0))
 
     rows = []
     for k in k_list:
@@ -132,14 +144,14 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
 
 def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = _sorted_numbers(cfg, "k_list", int)
-    mu_list = _sorted_numbers(cfg, "mu_list")
-    p_grid = _sorted_numbers(cfg, "p_beta_grid")
-    s_alpha = float(cfg.get("s_alpha", 100.0))
-    s_gamma = float(cfg.get("s_gamma", 1.0))
-    grid = int(cfg.get("grid", 101))
-    refine_tol = float(cfg.get("refine_tol", 1e-6))
-    switch_tol = float(cfg.get("switch_tol", 1e-6))
+    k_list = sorted(_list(cfg, "k_list", int))
+    mu_list = sorted(_list(cfg, "mu_list"))
+    p_grid = sorted(_list(cfg, "p_beta_grid"))
+    s_alpha = _number(cfg, "s_alpha", 100.0)
+    s_gamma = _number(cfg, "s_gamma", 1.0)
+    grid = _number(cfg, "grid", 101, int)
+    refine_tol = _number(cfg, "refine_tol", 1e-6)
+    switch_tol = _number(cfg, "switch_tol", 1e-6)
 
     rows = []
     for k in k_list:
@@ -169,21 +181,22 @@ def _scenario_id(spec: ScenarioSpec) -> str:
 
 
 def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    scenarios = [ScenarioSpec.from_dict(obj) for obj in _require(cfg, "scenarios")]
-    losses = [str(l) for l in cfg.get("losses", ["ce", "sd"])]
-    n_seeds = int(cfg.get("n_seeds", 1))
-    n_images = int(cfg.get("n_images", 1000))
-    max_epochs = int(cfg.get("max_epochs", 4000))
-    patience = int(cfg.get("patience", 200))
-    lr_by_loss = {"ce": cfg.get("lr_ce"), "sd": cfg.get("lr_sd")}
-    if not scenarios or not losses or n_seeds < 1:
-        raise CliError("train-toy needs scenarios, losses and n_seeds >= 1")
+    scenarios = _list(cfg, "scenarios", ScenarioSpec.from_dict)
+    losses = _list(cfg, "losses", str, ["ce", "sd"])
+    n_seeds = _number(cfg, "n_seeds", 1, int)
+    if n_seeds < 1:
+        raise CliError("train-toy needs n_seeds >= 1")
+    n_images = _number(cfg, "n_images", 1000, int)
+    max_epochs = _number(cfg, "max_epochs", 4000, int)
+    patience = _number(cfg, "patience", 200, int)
+    n_resamples = _number(cfg, "n_resamples", 10000, int)
+    lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
 
     report_lines = []
     summary_rows = []
     for si, spec in enumerate(scenarios):
         model = expand_scenario(spec)
-        ppuv = int(cfg.get("pixels_per_unit_volume") or _auto_resolution(spec))
+        ppuv = int(_number(cfg, "pixels_per_unit_volume", None) or _auto_resolution(spec))
         for li, loss_kind in enumerate(losses):
             cell_biases_soft = []
             cell_biases_hard = []
@@ -219,7 +232,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 boot = bootstrap_paired(
                     np.array(cell_biases_soft),
                     np.zeros(len(cell_biases_soft)),
-                    n_resamples=int(cfg.get("n_resamples", 10000)),
+                    n_resamples=n_resamples,
                     seed=_cell_seed((seed, si, li, 0xB007), 1)[0],
                 )
                 p_boot = min(boot.p_greater, boot.p_smaller)
@@ -302,9 +315,9 @@ def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
         a = np.array([float(v) for v in cols["a"]])
         b = np.array([float(v) for v in cols["b"]])
     else:
-        a = np.array([float(v) for v in _require(cfg, "a")])
-        b = np.array([float(v) for v in _require(cfg, "b")])
-    result = bootstrap_paired(a, b, n_resamples=int(cfg.get("n_resamples", 10000)), seed=seed)
+        a = np.array(_list(cfg, "a"))
+        b = np.array(_list(cfg, "b"))
+    result = bootstrap_paired(a, b, n_resamples=_number(cfg, "n_resamples", 10000, int), seed=seed)
     obj = json.loads(result.to_json())
     obj = {k: (_round15(v) if isinstance(v, float) else v) for k, v in obj.items()}
     _write_json(out_dir / cfg.get("output_path", "bootstrap.json"), obj)

@@ -104,6 +104,21 @@ class VolumeErrorReport:
         return self.relative_delta_v is not None
 
 
+def _ce_terms(p, q):
+    """Expected CE per entry, -p log q - (1-p) log(1-q), with q clamped by LOG_EPS."""
+    q = np.clip(q, LOG_EPS, 1.0 - LOG_EPS)
+    return -p * np.log(q) - (1.0 - p) * np.log(1.0 - q)
+
+
+def _sd_ratio(inter, denom):
+    """Soft-Dice loss 1 - 2 * inter / denom, elementwise; 0 where denom is 0.
+
+    An empty target predicted empty is a perfect match.
+    """
+    positive = denom > 0.0
+    return np.where(positive, 1.0 - 2.0 * inter / np.where(positive, denom, 1.0), 0.0)
+
+
 def _check_same_length(a, b):
     if len(a) != len(b):
         raise ValueError(f"maps have different lengths: {len(a)} vs {len(b)}")
@@ -116,9 +131,7 @@ def cross_entropy(target: SoftMap | HardMap, pred: SoftMap) -> float:
     away from {0, 1} by ``LOG_EPS`` before the logs.
     """
     _check_same_length(target, pred)
-    y = target.values
-    q = np.clip(pred.values, LOG_EPS, 1.0 - LOG_EPS)
-    return float(target.weights @ (-y * np.log(q) - (1.0 - y) * np.log(1.0 - q)))
+    return float(target.weights @ _ce_terms(target.values, pred.values))
 
 
 def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap) -> float:

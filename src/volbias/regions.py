@@ -30,6 +30,7 @@ __all__ = [
     "expand_scenario",
     "true_expected_volume",
     "sample_labeling",
+    "sample_labelings",
     "configuration_volume",
 ]
 
@@ -120,6 +121,8 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a scenario must be an object, got {obj!r}")
         keys = {"s_alpha", "s_gamma", "mu", "k_regions", "p_beta"}
         missing = keys - obj.keys()
         if missing:
@@ -175,15 +178,19 @@ def true_expected_volume(model: RegionModel) -> float:
     return float(model.volumes @ model.probabilities)
 
 
-def sample_labeling(model: RegionModel, rng_seed: int) -> LabelConfiguration:
-    """Draw one joint labeling, each region independently Bernoulli(p_fg).
+def sample_labelings(model: RegionModel, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` joint labelings as an (n, regions) array of 0.0 / 1.0.
 
-    Deterministic for a fixed seed. Certain regions (p in {0, 1}) always
-    receive their certain label.
+    Each entry is an independent Bernoulli(p_fg) draw, so certain regions
+    always receive their certain label. Deterministic for a fixed seed; the
+    first rows do not depend on ``n``.
     """
-    rng = make_rng(rng_seed)
-    u = rng.random(len(model))
-    return LabelConfiguration(tuple(int(x) for x in (u < model.probabilities)))
+    return (make_rng(seed).random((n, len(model))) < model.probabilities).astype(float)
+
+
+def sample_labeling(model: RegionModel, rng_seed: int) -> LabelConfiguration:
+    """Draw one joint labeling: the first row of :func:`sample_labelings`."""
+    return LabelConfiguration(sample_labelings(model, 1, rng_seed)[0])
 
 
 def configuration_volume(model: RegionModel, cfg: LabelConfiguration) -> float:

@@ -7,9 +7,9 @@ configurations (general models) or by a binomial collapse (homogeneous
 scenarios, where only the count of uncertain regions labeled foreground
 matters).
 
-All overlap sums here are volume-weighted: a region enters the soft-Dice
-numerator and denominator multiplied by its volume, and the plain per-voxel
-formulation is recovered when every region is a single unit-volume voxel.
+All sums are volume-weighted, and the CE term and the soft-Dice ratio are
+those of :mod:`volbias.losses`: each route here only builds its label
+configurations and their probabilities.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LOG_EPS
+from .losses import _ce_terms, _sd_ratio
 from .regions import RegionModel, ScenarioSpec, expand_scenario
 
 __all__ = [
@@ -227,18 +227,3 @@ def _binomial_weights(k: int, p: float) -> np.ndarray:
     log_comb = np.concatenate((head, head[(k - 1) // 2 :: -1]))
     m = np.arange(k + 1)
     return np.exp(log_comb + m * math.log(p) + (k - m) * math.log1p(-p))
-
-
-def _sd_ratio(inter, denom):
-    """Soft-Dice loss 1 - 2 * inter / denom, elementwise; 0 where denom is 0.
-
-    An empty target predicted empty is a perfect match.
-    """
-    positive = denom > 0.0
-    return np.where(positive, 1.0 - 2.0 * inter / np.where(positive, denom, 1.0), 0.0)
-
-
-def _ce_terms(p, q):
-    """Expected CE per entry, -p log q - (1-p) log(1-q), with q clamped by LOG_EPS."""
-    q = np.clip(q, LOG_EPS, 1.0 - LOG_EPS)
-    return -p * np.log(q) - (1.0 - p) * np.log(1.0 - q)

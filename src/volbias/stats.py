@@ -28,6 +28,10 @@ __all__ = [
     "volume_specific_profile",
 ]
 
+# Resample indices are drawn at most this many at a time (8 MiB of int64),
+# so the bootstrap's memory does not grow with the number of resamples.
+_RESAMPLE_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class BootstrapResult:
@@ -97,7 +101,7 @@ def bootstrap_paired(a, b, n_resamples: int = 10000, seed: int = 0) -> Bootstrap
     Differences are resampled with replacement ``n_resamples`` times;
     p-values count resample means on the opposite side of zero, with a +1
     correction so a p-value is never exactly zero. Deterministic for a
-    fixed seed.
+    fixed seed, whatever the size of the chunks the resamples are drawn in.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -109,8 +113,10 @@ def bootstrap_paired(a, b, n_resamples: int = 10000, seed: int = 0) -> Bootstrap
         raise ValueError("use at least 1000 resamples")
     d = a - b
     rng = make_rng(seed)
-    idx = rng.integers(0, d.size, size=(n_resamples, d.size))
-    means = d[idx].mean(axis=1)
+    rows = max(1, _RESAMPLE_CHUNK // d.size)
+    means = np.empty(n_resamples)
+    for chunk in np.split(means, range(rows, n_resamples, rows)):  # views into means
+        chunk[:] = d[rng.integers(0, d.size, size=(chunk.size, d.size))].mean(axis=1)
     p_greater = (int(np.count_nonzero(means <= 0.0)) + 1) / (n_resamples + 1)
     p_smaller = (int(np.count_nonzero(means >= 0.0)) + 1) / (n_resamples + 1)
     return BootstrapResult(

@@ -7,9 +7,10 @@ exactly expressive enough to realize any per-region prediction, so the
 bias it learns is attributable to the loss alone, not to model capacity.
 
 Because pixels within a region are interchangeable, the trainer works on a
-compact region-level representation (per-region pixel counts plus
-per-image region labels); the gradients it uses are algebraically equal to
-the pixel-level ones exposed by :func:`ce_gradient` / :func:`sd_gradient`.
+compact region-level representation: its losses are the expected losses of
+:mod:`volbias.risk` under the empirical label distribution of the training
+images, built from the same :mod:`volbias.losses` terms, and its gradients
+equal the pixel-level :func:`ce_gradient` / :func:`sd_gradient`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LOG_EPS, SoftMap, VolumeErrorReport, volume_error_report
-from .regions import RegionModel
-from .rng import make_rng, spawn_seeds
+from .losses import SoftMap, VolumeErrorReport, _ce_terms, _sd_ratio, volume_error_report
+from .regions import RegionModel, sample_labelings
+from .rng import make_rng
 
 __all__ = [
     "DEFAULT_LR",
@@ -182,10 +183,7 @@ def generate_dataset(
             f"regions {bad} round to zero pixels at {pixels_per_unit_volume} pixels "
             f"per unit volume; increase the resolution"
         )
-    probs = model.probabilities
-    rng = make_rng(seed)
-    labels = (rng.random((n_images, len(model))) < probs).astype(float)
-    return ToyDataset(model, counts, labels, pixels_per_unit_volume)
+    return ToyDataset(model, counts, sample_labelings(model, n_images, seed), pixels_per_unit_volume)
 
 
 def forward(model: ToyModel, features: np.ndarray) -> SoftMap:
@@ -199,9 +197,7 @@ def forward(model: ToyModel, features: np.ndarray) -> SoftMap:
 def ce_batch_loss(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean per-pixel cross-entropy over a batch of pixels."""
     y = sigmoid(np.asarray(features, float) @ model.weights + model.bias)
-    y = np.clip(y, LOG_EPS, 1.0 - LOG_EPS)
-    l = np.asarray(labels, float)
-    return float(np.mean(-l * np.log(y) - (1.0 - l) * np.log(1.0 - y)))
+    return float(np.mean(_ce_terms(np.asarray(labels, float), y)))
 
 
 def ce_gradient(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
@@ -220,12 +216,22 @@ def ce_gradient(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> tu
     return features.T @ resid, float(np.sum(resid))
 
 
-def _sd_image_terms(model: ToyModel, features: np.ndarray, labels: np.ndarray):
-    y = sigmoid(np.asarray(features, float) @ model.weights + model.bias)
-    l = np.asarray(labels, float)
-    inter = float(l @ y)
-    denom = float(l.sum() + y.sum())
-    return y, l, inter, denom
+def _sd_image_terms(model: ToyModel, images) -> list[tuple]:
+    """(features, predictions, labels, intersection, denominator) of each nonempty image."""
+    images = list(images)
+    kept = []
+    for features, labels in images:
+        features = np.asarray(features, dtype=float)
+        y = sigmoid(features @ model.weights + model.bias)
+        l = np.asarray(labels, float)
+        denom = float(l.sum() + y.sum())
+        if denom != 0.0:
+            kept.append((features, y, l, float(l @ y), denom))
+    if len(kept) < len(images):
+        warnings.warn(f"skipped {len(images) - len(kept)} image(s) with empty labels and predictions")
+    if not kept:
+        raise ValueError("no image in the batch has any foreground label or prediction")
+    return kept
 
 
 def sd_batch_loss(model: ToyModel, images) -> float:
@@ -234,19 +240,8 @@ def sd_batch_loss(model: ToyModel, images) -> float:
     Images whose labels and predictions are both entirely zero carry no
     overlap information; they are skipped with a warning.
     """
-    losses = []
-    skipped = 0
-    for features, labels in images:
-        _, _, inter, denom = _sd_image_terms(model, features, labels)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        losses.append(1.0 - 2.0 * inter / denom)
-    if skipped:
-        warnings.warn(f"skipped {skipped} image(s) with empty labels and predictions")
-    if not losses:
-        raise ValueError("no image in the batch has any foreground label or prediction")
-    return float(np.mean(losses))
+    *_, inter, denom = zip(*_sd_image_terms(model, images))
+    return float(np.mean(_sd_ratio(np.array(inter), np.array(denom))))
 
 
 def sd_gradient(model: ToyModel, images) -> tuple[np.ndarray, float]:
@@ -258,24 +253,13 @@ def sd_gradient(model: ToyModel, images) -> tuple[np.ndarray, float]:
     """
     grad_w = np.zeros_like(model.weights)
     grad_b = 0.0
-    used = 0
-    skipped = 0
-    for features, labels in images:
-        features = np.asarray(features, dtype=float)
-        y, l, inter, denom = _sd_image_terms(model, features, labels)
-        if denom == 0.0:
-            skipped += 1
-            continue
+    kept = _sd_image_terms(model, images)
+    for features, y, l, inter, denom in kept:
         dl_dy = -2.0 * (l * denom - inter) / denom**2
         dz = dl_dy * y * (1.0 - y)
         grad_w += features.T @ dz
         grad_b += float(dz.sum())
-        used += 1
-    if skipped:
-        warnings.warn(f"skipped {skipped} image(s) with empty labels and predictions")
-    if used == 0:
-        raise ValueError("no image in the batch has any foreground label or prediction")
-    return grad_w / used, grad_b / used
+    return grad_w / len(kept), grad_b / len(kept)
 
 
 # ----------------------------------------------------------------------
@@ -283,21 +267,13 @@ def sd_gradient(model: ToyModel, images) -> tuple[np.ndarray, float]:
 # ----------------------------------------------------------------------
 
 
-def _compact_ce_loss(y, counts, mean_labels):
-    yc = np.clip(y, LOG_EPS, 1.0 - LOG_EPS)
-    per_region = -mean_labels * np.log(yc) - (1.0 - mean_labels) * np.log(1.0 - yc)
-    return float(per_region @ (counts / counts.sum()))
-
-
 def _compact_sd_terms(y, volumes, configs, config_weights):
     pred_sum = float(volumes @ y)
     inter = configs @ (volumes * y)
     target = configs @ volumes
     denom = target + pred_sum
-    ok = denom > 0.0
-    sd = np.where(ok, 1.0 - 2.0 * inter / np.where(ok, denom, 1.0), 0.0)
-    loss = float(config_weights @ sd)
-    return loss, inter, denom, ok
+    loss = float(config_weights @ _sd_ratio(inter, denom))
+    return loss, inter, denom, denom > 0.0
 
 
 def _compact_sd_grad_y(configs, config_weights, inter, denom, ok):
@@ -352,7 +328,7 @@ def _fit(
 
     def val_loss_at(y):
         if loss_kind == "ce":
-            return _compact_ce_loss(y, counts, mean_l_val)
+            return float(_ce_terms(mean_l_val, y) @ (counts / n_pixels))
         loss, *_ = _compact_sd_terms(y, volumes, va_cfg, va_w)
         return loss
 
@@ -375,12 +351,11 @@ def _fit(
         y = sigmoid(w + b)
         if loss_kind == "ce":
             grad_w = (y - mean_l_train) * counts / n_pixels
-            grad_b = float(grad_w.sum())
         else:
             _, inter, denom, ok = _compact_sd_terms(y, volumes, tr_cfg, tr_w)
             gy = _compact_sd_grad_y(tr_cfg, tr_w, inter, denom, ok)
             grad_w = gy * y * (1.0 - y) * volumes
-            grad_b = float(grad_w.sum())
+        grad_b = float(grad_w.sum())
         val_loss = val_loss_at(y)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(
@@ -488,7 +463,5 @@ def empirical_volume_bias(
         raise ValueError("report and model disagree on the number of regions")
     s = model.volumes
     pred = np.asarray(report.per_region_pred, dtype=float)
-    rng = make_rng(seed)
-    labels = (rng.random((n_images, len(model))) < model.probabilities).astype(float)
-    true_mean = float((labels @ s).mean())
+    true_mean = float((sample_labelings(model, n_images, seed) @ s).mean())
     return float(s @ pred - true_mean), float(s @ (pred >= 0.5) - true_mean)

@@ -218,6 +218,24 @@ class TestDeterminismAndErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, cfg_obj",
+        [
+            ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": [1]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": None}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": 5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [3]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": [2000]}),
+            ("bootstrap", {"a": [[1], [2]], "b": [0, 0]}),
+        ],
+    )
+    def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, command, cfg_obj):
+        cfg = write_config(tmp_path, "cfg.json", cfg_obj)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
     def test_large_k_writes_finite_rows(self, tmp_path, command):
         cfg = write_config(

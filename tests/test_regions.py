@@ -158,3 +158,8 @@ class TestScenarioJson:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec.from_json('{"s_alpha": 1, "s_gamma": 1, "mu": 1, "k_regions": 1}')
+
+    @pytest.mark.parametrize("text", ["3", "[1]", '"scenario"'])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ValueError):
+            ScenarioSpec.from_json(text)

@@ -46,6 +46,22 @@ class TestBootstrapPaired:
         # difference each index picks, so compare the test decisions loosely
         assert r1.mean_diff == pytest.approx(r2.mean_diff, abs=1e-12)
 
+    def test_chunked_resampling_matches_one_index_matrix(self):
+        from volbias import stats
+        from volbias.rng import make_rng
+
+        n, n_resamples = 600, 2000  # 1747 + 253 rows at the module's chunk size
+        assert n * n_resamples > stats._RESAMPLE_CHUNK
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        out = bootstrap_paired(a, b, n_resamples=n_resamples, seed=17)
+        d = a - b
+        means = d[make_rng(17).integers(0, n, size=(n_resamples, n))].mean(axis=1)
+        assert out.mean_diff == float(d.mean())
+        assert out.p_greater == (np.count_nonzero(means <= 0.0) + 1) / (n_resamples + 1)
+        assert out.p_smaller == (np.count_nonzero(means >= 0.0) + 1) / (n_resamples + 1)
+        assert 0.05 < out.p_greater < 0.95  # both counts are informative
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             bootstrap_paired([1.0], [1.0], n_resamples=2000, seed=0)

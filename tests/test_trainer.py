@@ -1,19 +1,28 @@
 """Toy logistic trainer: gradients, training behavior, volume biases."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from volbias import (
+    PredictionAssignment,
+    Region,
+    RegionModel,
     ScenarioSpec,
     ToyModel,
     ce_batch_loss,
     ce_gradient,
     empirical_volume_bias,
     expand_scenario,
+    expected_ce,
+    expected_sd_exhaustive,
     forward,
     generate_dataset,
+    sample_labeling,
     sd_batch_loss,
     sd_gradient,
     sd_minimizer,
@@ -77,6 +86,14 @@ class TestGenerateDataset:
         a = generate_dataset(model, 20, 10, seed=7)
         b = generate_dataset(model, 20, 10, seed=7)
         assert np.array_equal(a.labels, b.labels)
+
+    def test_label_stream_is_pinned(self):
+        # A different stream would change every seeded training result.
+        model = expand_scenario(scenario(3, 1, 2.0, 4, 0.5))
+        ds = generate_dataset(model, 5, 4, seed=11)
+        expected = [[0, 0, 0, 0, 0, 1], [0, 1, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1], [0, 1, 1, 1, 0, 1], [0, 0, 0, 0, 1, 1]]
+        assert ds.labels.tolist() == expected
+        assert sample_labeling(model, 11).labels == tuple(expected[0])
 
     def test_pixel_materialization_is_consistent(self):
         model = expand_scenario(scenario(2, 1, 1.0, 2, 0.5))
@@ -195,12 +212,13 @@ class TestCompactPathMatchesPixelPath:
         pixel_loss = ce_batch_loss(model, feats, labels)
         pixel_grad_w, pixel_grad_b = ce_gradient(model, feats, labels)
 
-        from volbias.trainer import _compact_ce_loss
+        from volbias.losses import _ce_terms
 
         counts = ds.region_pixel_counts.astype(float)
         y = sigmoid(w + 0.2)
         mean_l = ds.labels.mean(axis=0)
-        assert _compact_ce_loss(y, counts, mean_l) == pytest.approx(pixel_loss, abs=1e-12)
+        # the expression _fit evaluates as the CE validation loss
+        assert float(_ce_terms(mean_l, y) @ (counts / counts.sum())) == pytest.approx(pixel_loss, abs=1e-12)
         compact_grad_w = (y - mean_l) * counts / counts.sum()
         assert np.allclose(compact_grad_w, pixel_grad_w, atol=1e-12)
         assert float(compact_grad_w.sum()) == pytest.approx(pixel_grad_b, abs=1e-12)
@@ -227,6 +245,42 @@ class TestCompactPathMatchesPixelPath:
         compact_grad_w = gy * y * (1 - y) * volumes
         assert np.allclose(compact_grad_w, pixel_grad_w, atol=1e-12)
         assert float(compact_grad_w @ np.ones_like(volumes)) == pytest.approx(pixel_grad_b, abs=1e-12)
+
+
+# (volume, foreground probability, prediction) of one region
+region_rows = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestCompactLossesAreExpectedLosses:
+    """The trainer's compact losses are the exact expected losses of
+    :mod:`volbias.risk`, taken under the label distribution they are fed."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(region_rows, min_size=1, max_size=10))
+    def test_full_support_and_exact_frequencies_reproduce_the_risk(self, rows):
+        volumes, p, q = (np.array(column) for column in zip(*rows))
+        uncertain = (p > 0.0) & (p < 1.0)
+        assume(volumes.sum() > 0.0 and np.count_nonzero(uncertain) <= 8)
+        model = RegionModel(tuple(Region(v, pr) for v, pr in zip(volumes, p)))
+        pred = PredictionAssignment(q)
+
+        # every joint labeling with its exact probability
+        configs = np.array(list(itertools.product(*[(0.0, 1.0) if u else (pr,) for u, pr in zip(uncertain, p)])))
+        weights = np.prod(np.where(configs == 1.0, p, 1.0 - p), axis=1)
+        from volbias.trainer import _compact_sd_terms
+
+        loss, *_ = _compact_sd_terms(q, volumes, configs, weights)
+        assert loss == pytest.approx(expected_sd_exhaustive(model, pred).value, abs=1e-12)
+
+        # the CE loss _fit evaluates, at label frequencies equal to p
+        from volbias.losses import _ce_terms
+
+        compact_ce = float(_ce_terms(p, q) @ (volumes / volumes.sum()))
+        assert compact_ce == pytest.approx(expected_ce(model, pred).value / volumes.sum(), abs=1e-12)
 
 
 class TestTraining:
