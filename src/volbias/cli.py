@@ -110,6 +110,14 @@ def _number(cfg, key, default, cast=float):
         raise CliError(f"config key {key!r} must be a number, got {value!r}")
 
 
+def _path(cfg, key, default, base: Path) -> Path:
+    """``base / cfg[key]`` (``default`` when absent, required where that is None); absolute values stay absolute."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    if not isinstance(value, str) or not value:
+        raise CliError(f"config key {key!r} must be a nonempty path string, got {value!r}")
+    return base / value
+
+
 def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
     state = np.random.SeedSequence(parts).generate_state(n, dtype=np.uint64)
     return [int(s) for s in state]
@@ -129,6 +137,7 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     n_points = _number(cfg, "p_tilde_grid_size", 101, int)
     if n_points < 2:
         raise CliError("p_tilde_grid_size must be >= 2")
+    path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
     rows = []
     for k in k_list:
@@ -139,7 +148,6 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 ce = risk_curve(spec, "ce", n_points)
                 for q, v_sd, v_ce in zip(sd.p_tilde, sd.expected_loss, ce.expected_loss):
                     rows.append([k, mu, p, q, v_sd, v_ce])
-    path = out_dir / cfg.get("output_path", "risk_curve.csv")
     _write_csv(path, ["k", "mu", "p_beta", "p_tilde", "expected_sd", "expected_ce"], rows)
 
 
@@ -152,6 +160,7 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     grid = _number(cfg, "grid", 101, int)
     refine_tol = _number(cfg, "refine_tol", 1e-6)
     switch_tol = _number(cfg, "switch_tol", 1e-6)
+    path = _path(cfg, "output_path", "bias_curve.csv", out_dir)
 
     rows = []
     for k in k_list:
@@ -160,7 +169,6 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
             points = bias_curve(k, mu, p_grid, s_alpha=s_alpha, s_gamma=s_gamma, grid=grid, refine_tol=refine_tol)
             for pt in points:
                 rows.append([k, mu, pt.p_beta, pt.p_tilde_opt, pt.prob_error, pt.volume_bias, switch.p_star])
-    path = out_dir / cfg.get("output_path", "bias_curve.csv")
     _write_csv(
         path,
         ["k", "mu", "p_beta", "p_tilde_opt", "prob_error", "volume_bias", "switch_point"],
@@ -191,6 +199,8 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     patience = _number(cfg, "patience", 200, int)
     n_resamples = _number(cfg, "n_resamples", 10000, int)
     lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
+    reports_path = _path(cfg, "reports_path", "train_reports.jsonl", out_dir)
+    summary_path = _path(cfg, "summary_path", "train_summary.csv", out_dir)
 
     report_lines = []
     summary_rows = []
@@ -248,9 +258,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 ]
             )
 
-    reports_path = out_dir / cfg.get("reports_path", "train_reports.jsonl")
     _atomic_write(reports_path, "\n".join(report_lines) + "\n")
-    summary_path = out_dir / cfg.get("summary_path", "train_summary.csv")
     _write_csv(summary_path, ["scenario", "loss", "bias_soft", "bias_hard", "p_boot"], summary_rows)
 
 
@@ -269,9 +277,12 @@ def _read_csv_columns(path: Path, required: list[str]) -> dict[str, list[str]]:
 
 
 def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    input_csv = Path(_require(cfg, "input_csv"))
-    if not input_csv.is_absolute():
-        input_csv = cfg_dir / input_csv
+    input_csv = _path(cfg, "input_csv", None, cfg_dir)
+    fit_path = _path(cfg, "fit_path", "calibration_fit.json", out_dir)
+    corrected_path = _path(cfg, "corrected_path", "calibrated.csv", out_dir)
+    before_path, after_path = (
+        _path(cfg, f"profile_{name}_path", f"decile_profile_{name}.csv", out_dir) for name in ("before", "after")
+    )
     cols = _read_csv_columns(input_csv, ["true_volume", "pred_volume", "split"])
     true = np.array([float(v) for v in cols["true_volume"]])
     pred = np.array([float(v) for v in cols["pred_volume"]])
@@ -286,41 +297,35 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
     fit_obj = json.loads(fit.to_json())
     fit_obj = {k: (_round15(v) if isinstance(v, float) else v) for k, v in fit_obj.items()}
-    _write_json(out_dir / cfg.get("fit_path", "calibration_fit.json"), fit_obj)
+    _write_json(fit_path, fit_obj)
 
     rows = [[t, p, s, c] for t, p, s, c in zip(true, pred, split, corrected)]
-    _write_csv(
-        out_dir / cfg.get("corrected_path", "calibrated.csv"),
-        ["true_volume", "pred_volume", "split", "corrected_volume"],
-        rows,
-    )
+    _write_csv(corrected_path, ["true_volume", "pred_volume", "split", "corrected_volume"], rows)
 
     if np.count_nonzero(val_mask) >= 10:
-        before = volume_specific_profile(pred[val_mask], true[val_mask])
-        after = volume_specific_profile(corrected[val_mask], true[val_mask])
-        for name, profile in (("before", before), ("after", after)):
+        for path, volumes in ((before_path, pred), (after_path, corrected)):
+            profile = volume_specific_profile(volumes[val_mask], true[val_mask])
             _write_csv(
-                out_dir / cfg.get(f"profile_{name}_path", f"decile_profile_{name}.csv"),
+                path,
                 ["decile", "mean_true_volume", "mean_pred_volume"],
                 [[i, t, p] for i, (t, p) in enumerate(profile.decile_means)],
             )
 
 
 def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
+    n_resamples = _number(cfg, "n_resamples", 10000, int)
+    path = _path(cfg, "output_path", "bootstrap.json", out_dir)
     if "input_csv" in cfg:
-        input_csv = Path(cfg["input_csv"])
-        if not input_csv.is_absolute():
-            input_csv = cfg_dir / input_csv
-        cols = _read_csv_columns(input_csv, ["a", "b"])
+        cols = _read_csv_columns(_path(cfg, "input_csv", None, cfg_dir), ["a", "b"])
         a = np.array([float(v) for v in cols["a"]])
         b = np.array([float(v) for v in cols["b"]])
     else:
         a = np.array(_list(cfg, "a"))
         b = np.array(_list(cfg, "b"))
-    result = bootstrap_paired(a, b, n_resamples=_number(cfg, "n_resamples", 10000, int), seed=seed)
+    result = bootstrap_paired(a, b, n_resamples=n_resamples, seed=seed)
     obj = json.loads(result.to_json())
     obj = {k: (_round15(v) if isinstance(v, float) else v) for k, v in obj.items()}
-    _write_json(out_dir / cfg.get("output_path", "bootstrap.json"), obj)
+    _write_json(path, obj)
 
 
 _COMMANDS = {
@@ -351,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg, cfg_dir = _load_config(args.config)
         out_dir = Path(args.out)
         _COMMANDS[args.command](cfg, args.seed, out_dir, cfg_dir)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -65,7 +65,7 @@ class BiasPoint:
     p_beta: float
     p_tilde_opt: float
     prob_error: float  # p_tilde_opt - p_beta
-    volume_bias: float  # mu * s_gamma * voxel_volume * prob_error
+    volume_bias: float  # mu * s_gamma * prob_error
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,6 @@ def bias_curve(
     p_grid: Sequence[float],
     s_alpha: float = 100.0,
     s_gamma: float = 1.0,
-    voxel_volume: float = 1.0,
     grid: int = 101,
     refine_tol: float = 1e-6,
 ) -> list[BiasPoint]:
@@ -191,7 +190,7 @@ def bias_curve(
     for p in p_grid:
         opt = sd_minimizer(_scenario(k, mu, p, s_alpha, s_gamma), grid=grid, refine_tol=refine_tol)
         err = opt.p_tilde_opt - p
-        points.append(BiasPoint(float(p), opt.p_tilde_opt, float(err), float(mu * s_gamma * voxel_volume * err)))
+        points.append(BiasPoint(float(p), opt.p_tilde_opt, float(err), float(mu * s_gamma * err)))
     return points
 
 

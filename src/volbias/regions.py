@@ -97,8 +97,8 @@ class ScenarioSpec:
     p_beta: float
 
     def __post_init__(self):
-        if self.s_alpha < 0 or self.s_gamma < 0 or self.mu < 0:
-            raise ValueError("volumes and volume ratios must be >= 0")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.s_alpha, self.s_gamma, self.mu)):
+            raise ValueError("volumes and volume ratios must be finite and >= 0")
         if int(self.k_regions) != self.k_regions or self.k_regions < 1:
             raise ValueError(f"k_regions must be a positive integer, got {self.k_regions}")
         if not 0.0 <= self.p_beta <= 1.0:

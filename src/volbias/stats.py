@@ -181,13 +181,6 @@ def volume_specific_profile(pred_volumes, true_volumes) -> VolumeSpecificProfile
         raise ValueError("volume vectors must be one-dimensional and equally long")
     if pred.size < 10:
         raise ValueError("need at least ten points for a decile profile")
-    order = np.argsort(true, kind="stable")
-    base, extra = divmod(true.size, 10)
-    sizes = np.full(10, base)
-    sizes[:extra] += 1
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    means = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sel = order[lo:hi]
-        means.append((float(true[sel].mean()), float(pred[sel].mean())))
+    bins = np.array_split(np.argsort(true, kind="stable"), 10)
+    means = [(float(true[sel].mean()), float(pred[sel].mean())) for sel in bins]
     return VolumeSpecificProfile(tuple(means), float(true.mean()))

@@ -7,10 +7,13 @@ exactly expressive enough to realize any per-region prediction, so the
 bias it learns is attributable to the loss alone, not to model capacity.
 
 Because pixels within a region are interchangeable, the trainer works on a
-compact region-level representation: its losses are the expected losses of
-:mod:`volbias.risk` under the empirical label distribution of the training
-images, built from the same :mod:`volbias.losses` terms, and its gradients
-equal the pixel-level :func:`ce_gradient` / :func:`sd_gradient`.
+compact region-level representation. ``_objective`` is the only place it
+knows a loss formula: on a label support (the distinct label rows of a
+split and how often each occurs) it returns the expected loss of
+:mod:`volbias.risk` under that empirical label distribution, built from the
+same :mod:`volbias.losses` terms, and its gradient, which equals the
+pixel-level :func:`ce_gradient` / :func:`sd_gradient`. ``_fit`` runs one
+descent loop for both losses.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SoftMap, VolumeErrorReport, _ce_terms, _sd_ratio, volume_error_report
+from .losses import SoftMap, _ce_terms, _sd_ratio
 from .regions import RegionModel, sample_labelings
 from .rng import make_rng
 
@@ -144,8 +147,6 @@ class TrainReport:
     per_region_pred: np.ndarray
     epochs_run: int
     converged: bool
-    volume_soft: VolumeErrorReport
-    volume_hard: VolumeErrorReport
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
@@ -267,22 +268,38 @@ def sd_gradient(model: ToyModel, images) -> tuple[np.ndarray, float]:
 # ----------------------------------------------------------------------
 
 
-def _compact_sd_terms(y, volumes, configs, config_weights):
-    pred_sum = float(volumes @ y)
-    inter = configs @ (volumes * y)
+def _objective(loss_kind, configs, n, counts, volumes):
+    """``(loss(y), grad_w(y))`` on the label support ``configs``, row i seen ``n[i]`` times.
+
+    ``counts`` and ``volumes`` are the region pixel counts and volumes. The
+    raw batch gradient ``grad_w`` is in the region weights; its sum is the
+    bias gradient.
+    """
+    if loss_kind == "ce":
+        # exact for 0/1 labels: the label frequencies of the images
+        mean_l = n @ configs / n.sum()
+        n_pixels = counts.sum()
+        return (
+            lambda y: float(_ce_terms(mean_l, y) @ (counts / n_pixels)),
+            lambda y: (y - mean_l) * counts / n_pixels,
+        )
+    weights = n / n.sum()
     target = configs @ volumes
-    denom = target + pred_sum
-    loss = float(config_weights @ _sd_ratio(inter, denom))
-    return loss, inter, denom, denom > 0.0
 
+    def terms(y):
+        return configs @ (volumes * y), target + float(volumes @ y)
 
-def _compact_sd_grad_y(configs, config_weights, inter, denom, ok):
-    # dSD/dy_r per config, without the volume factor (it is the natural
-    # per-region normalization applied by the trainer).
-    d2 = np.where(ok, denom, 1.0) ** 2
-    g = -2.0 * (configs * denom[:, None] - inter[:, None]) / d2[:, None]
-    g[~ok] = 0.0
-    return config_weights @ g
+    def grad_w(y):
+        # dSD/dy_r per configuration, 0 where the configuration's ratio is
+        # pinned to 0, then through the sigmoid and the region volume
+        inter, denom = terms(y)
+        ok = denom > 0.0
+        d2 = np.where(ok, denom, 1.0) ** 2
+        g = -2.0 * (configs * denom[:, None] - inter[:, None]) / d2[:, None]
+        g[~ok] = 0.0
+        return (weights @ g) * y * (1.0 - y) * volumes
+
+    return lambda y: float(weights @ _sd_ratio(*terms(y))), grad_w
 
 
 # Full-batch moment estimates carry no sampling noise, so a short
@@ -316,21 +333,9 @@ def _fit(
     predictions toward the validation split's label frequencies.
     """
     counts = counts.astype(float)
-    n_pixels = counts.sum()
     volumes = counts / pixels_per_unit_volume
-    mean_l_train = train_labels.mean(axis=0)
-    mean_l_val = val_labels.mean(axis=0)
-    if loss_kind == "sd":
-        tr_cfg, tr_n = np.unique(train_labels, axis=0, return_counts=True)
-        tr_w = tr_n / tr_n.sum()
-        va_cfg, va_n = np.unique(val_labels, axis=0, return_counts=True)
-        va_w = va_n / va_n.sum()
-
-    def val_loss_at(y):
-        if loss_kind == "ce":
-            return float(_ce_terms(mean_l_val, y) @ (counts / n_pixels))
-        loss, *_ = _compact_sd_terms(y, volumes, va_cfg, va_w)
-        return loss
+    _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), counts, volumes)
+    val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
 
     if init is None:
         w = np.zeros_like(counts)
@@ -349,12 +354,7 @@ def _fit(
     stopped = False
     for epoch in range(1, max_epochs + 1):
         y = sigmoid(w + b)
-        if loss_kind == "ce":
-            grad_w = (y - mean_l_train) * counts / n_pixels
-        else:
-            _, inter, denom, ok = _compact_sd_terms(y, volumes, tr_cfg, tr_w)
-            gy = _compact_sd_grad_y(tr_cfg, tr_w, inter, denom, ok)
-            grad_w = gy * y * (1.0 - y) * volumes
+        grad_w = grad_w_at(y)
         grad_b = float(grad_w.sum())
         val_loss = val_loss_at(y)
         if not np.isfinite(val_loss):
@@ -379,7 +379,7 @@ def _fit(
         step = cur_lr * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
         w = w - step[:-1]
         b = b - float(step[-1])
-    return w, b, epoch, stopped, float(val_loss_at(sigmoid(w + b)))
+    return w, b, epoch, stopped, val_loss_at(sigmoid(w + b))
 
 
 def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,6 +388,12 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n_train = max(int(round(0.6 * n)), 1)
     n_val = max(int(round(0.2 * n)), 1)
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+
+
+def _volume_biases(pred, volumes, labels) -> tuple[float, float]:
+    """Soft and thresholded predicted volume minus the mean volume of ``labels``."""
+    true_mean = float((labels @ volumes).mean())
+    return float(volumes @ pred - true_mean), float(volumes @ (pred >= 0.5) - true_mean)
 
 
 def train(
@@ -405,7 +411,7 @@ def train(
     permutation. Optimization is deterministic full-batch descent with
     adaptive moment scaling (see :func:`_fit`); the validation loss drives
     the plateau schedule and the stopping rule, the last iterate is the
-    trained model, and soft and thresholded volume errors are measured on
+    trained model, and soft and thresholded volume biases are measured on
     the test images.
     """
     if loss_kind not in DEFAULT_LR:
@@ -429,23 +435,15 @@ def train(
         init=init,
     )
     pred = sigmoid(w + b)
-    volumes = dataset.region_volumes
-    test_labels = dataset.labels[i_test]
-    true_mean = float((test_labels @ volumes).mean())
-    soft_vol = float(volumes @ pred)
-    hard_vol = float(volumes @ (pred >= 0.5))
-    report_soft = volume_error_report(soft_vol, true_mean)
-    report_hard = volume_error_report(hard_vol, true_mean)
+    bias_soft, bias_hard = _volume_biases(pred, dataset.region_volumes, dataset.labels[i_test])
     return TrainReport(
         loss_kind=loss_kind,
         final_loss=final_loss,
         per_region_pred=pred,
         epochs_run=epochs,
         converged=converged,
-        volume_soft=report_soft,
-        volume_hard=report_hard,
-        bias_soft=report_soft.delta_v,
-        bias_hard=report_hard.delta_v,
+        bias_soft=bias_soft,
+        bias_hard=bias_hard,
         model=ToyModel(w, float(b)),
     )
 
@@ -461,7 +459,5 @@ def empirical_volume_bias(
     """
     if len(report.per_region_pred) != len(model):
         raise ValueError("report and model disagree on the number of regions")
-    s = model.volumes
     pred = np.asarray(report.per_region_pred, dtype=float)
-    true_mean = float((sample_labelings(model, n_images, seed) @ s).mean())
-    return float(s @ pred - true_mean), float(s @ (pred >= 0.5) - true_mean)
+    return _volume_biases(pred, model.volumes, sample_labelings(model, n_images, seed))

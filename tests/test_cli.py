@@ -195,6 +195,8 @@ class TestBootstrapCommand:
 
 
 class TestDeterminismAndErrors:
+    SCENARIO = TestTrainToyCommand.CONFIG["scenarios"][0]
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["risk-curve", "--config", tmp_path / "nope.json", "--out", tmp_path]) == 1
         err = capsys.readouterr().err
@@ -227,6 +229,9 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [3]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": [2000]}),
             ("bootstrap", {"a": [[1], [2]], "b": [0, 0]}),
+            ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_alpha": math.nan}),
+            ("risk-curve", {"k_list": [1], "mu_list": [math.nan], "p_beta_grid": [0.5]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_gamma": math.inf}]}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, command, cfg_obj):
@@ -235,6 +240,50 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg_obj",
+        [
+            ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "output_path": [1]}),
+            ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "output_path": ""}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 1, "summary_path": None}),
+            ("calibrate", {"input_csv": 5}),
+            ("calibrate", {"input_csv": "volumes.csv", "profile_after_path": {}}),
+            ("bootstrap", {"a": [1, 2], "b": [0, 0], "output_path": 5}),
+            ("bootstrap", {"input_csv": 5}),
+        ],
+    )
+    def test_malformed_path_fails_cleanly(self, tmp_path, capsys, command, cfg_obj):
+        rows = [(float(v), float(v), "train" if v % 2 else "val") for v in range(1, 25)]
+        TestCalibrateCommand.volumes_csv(tmp_path, rows)
+        cfg = write_config(tmp_path, "cfg.json", cfg_obj)
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_config_directory_fails_cleanly(self, tmp_path, capsys):
+        assert run(["risk-curve", "--config", tmp_path, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "bootstrap"])
+    def test_input_csv_directory_fails_cleanly(self, tmp_path, capsys, command):
+        (tmp_path / "volumes.csv").mkdir()
+        cfg = write_config(tmp_path, "cfg.json", {"input_csv": "volumes.csv"})
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_below_a_file_fails_cleanly(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, "cfg.json", {"a": [1, 2], "b": [0, 0], "n_resamples": 1000})
+        assert run(["bootstrap", "--config", cfg, "--out", tmp_path / "file" / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
 
     @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
     def test_large_k_writes_finite_rows(self, tmp_path, command):

@@ -1,6 +1,7 @@
 """Region model: construction, volumes, sampling, enumeration oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ class TestExpandScenario:
             scenario(-1, 1, 1.0, 1, 0.5)
         with pytest.raises(ValueError):
             Region(-0.5, 0.5)
+
+    @pytest.mark.parametrize("field", ["s_alpha", "s_gamma", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_volume(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioSpec(**{"s_alpha": 100, "s_gamma": 1, "mu": 1.0, "k_regions": 1, "p_beta": 0.5, field: value})
 
     def test_rejects_probability_outside_unit_interval(self):
         with pytest.raises(ValueError):

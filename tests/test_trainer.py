@@ -28,7 +28,7 @@ from volbias import (
     sd_minimizer,
     train,
 )
-from volbias.trainer import _fit, sigmoid
+from volbias.trainer import _fit, _objective, sigmoid
 
 
 def scenario(s_alpha, s_gamma, mu, k, p):
@@ -39,6 +39,13 @@ def random_pixel_batch(rng, n_regions, n_pixels):
     features = np.eye(n_regions)[rng.integers(0, n_regions, n_pixels)]
     labels = rng.integers(0, 2, n_pixels).astype(float)
     return features, labels
+
+
+def objective_of(ds, loss_kind):
+    """The trainer's objective on the label support of every image of ``ds``."""
+    counts = ds.region_pixel_counts.astype(float)
+    configs, n = np.unique(ds.labels, axis=0, return_counts=True)
+    return _objective(loss_kind, configs, n, counts, ds.region_volumes)
 
 
 def fd_gradient(loss_fn, model, h=1e-5):
@@ -212,14 +219,10 @@ class TestCompactPathMatchesPixelPath:
         pixel_loss = ce_batch_loss(model, feats, labels)
         pixel_grad_w, pixel_grad_b = ce_gradient(model, feats, labels)
 
-        from volbias.losses import _ce_terms
-
-        counts = ds.region_pixel_counts.astype(float)
+        loss_at, grad_w_at = objective_of(ds, "ce")
         y = sigmoid(w + 0.2)
-        mean_l = ds.labels.mean(axis=0)
-        # the expression _fit evaluates as the CE validation loss
-        assert float(_ce_terms(mean_l, y) @ (counts / counts.sum())) == pytest.approx(pixel_loss, abs=1e-12)
-        compact_grad_w = (y - mean_l) * counts / counts.sum()
+        assert loss_at(y) == pytest.approx(pixel_loss, abs=1e-12)
+        compact_grad_w = grad_w_at(y)
         assert np.allclose(compact_grad_w, pixel_grad_w, atol=1e-12)
         assert float(compact_grad_w.sum()) == pytest.approx(pixel_grad_b, abs=1e-12)
 
@@ -233,18 +236,12 @@ class TestCompactPathMatchesPixelPath:
         pixel_loss = sd_batch_loss(model, images)
         pixel_grad_w, pixel_grad_b = sd_gradient(model, images)
 
-        from volbias.trainer import _compact_sd_grad_y, _compact_sd_terms
-
-        volumes = ds.region_volumes
+        loss_at, grad_w_at = objective_of(ds, "sd")
         y = sigmoid(w - 0.1)
-        cfg, n_cfg = np.unique(ds.labels, axis=0, return_counts=True)
-        cw = n_cfg / n_cfg.sum()
-        loss, inter, denom, ok = _compact_sd_terms(y, volumes, cfg, cw)
-        assert loss == pytest.approx(pixel_loss, abs=1e-12)
-        gy = _compact_sd_grad_y(cfg, cw, inter, denom, ok)
-        compact_grad_w = gy * y * (1 - y) * volumes
+        assert loss_at(y) == pytest.approx(pixel_loss, abs=1e-12)
+        compact_grad_w = grad_w_at(y)
         assert np.allclose(compact_grad_w, pixel_grad_w, atol=1e-12)
-        assert float(compact_grad_w @ np.ones_like(volumes)) == pytest.approx(pixel_grad_b, abs=1e-12)
+        assert float(compact_grad_w.sum()) == pytest.approx(pixel_grad_b, abs=1e-12)
 
 
 # (volume, foreground probability, prediction) of one region
@@ -271,16 +268,11 @@ class TestCompactLossesAreExpectedLosses:
         # every joint labeling with its exact probability
         configs = np.array(list(itertools.product(*[(0.0, 1.0) if u else (pr,) for u, pr in zip(uncertain, p)])))
         weights = np.prod(np.where(configs == 1.0, p, 1.0 - p), axis=1)
-        from volbias.trainer import _compact_sd_terms
-
-        loss, *_ = _compact_sd_terms(q, volumes, configs, weights)
-        assert loss == pytest.approx(expected_sd_exhaustive(model, pred).value, abs=1e-12)
-
-        # the CE loss _fit evaluates, at label frequencies equal to p
-        from volbias.losses import _ce_terms
-
-        compact_ce = float(_ce_terms(p, q) @ (volumes / volumes.sum()))
-        assert compact_ce == pytest.approx(expected_ce(model, pred).value / volumes.sum(), abs=1e-12)
+        # the exact weights stand in for image counts, the volumes for pixel counts
+        sd_loss, _ = _objective("sd", configs, weights, volumes, volumes)
+        assert sd_loss(q) == pytest.approx(expected_sd_exhaustive(model, pred).value, abs=1e-12)
+        ce_loss, _ = _objective("ce", configs, weights, volumes, volumes)
+        assert ce_loss(q) == pytest.approx(expected_ce(model, pred).value / volumes.sum(), abs=1e-12)
 
 
 class TestTraining:
