@@ -27,7 +27,6 @@ from .minimize import (
     bias_curve,
     ce_minimizer,
     find_switch_point,
-    golden_section,
     risk_curve,
     sd_minimizer,
 )

@@ -118,6 +118,15 @@ def _path(cfg, key, default, base: Path) -> Path:
     return base / value
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Fail unless the nearest existing ancestor of ``out_dir`` is a directory; creates nothing."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise CliError(f"--out {out_dir}: {path} is not a directory")
+            return
+
+
 def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
     state = np.random.SeedSequence(parts).generate_state(n, dtype=np.uint64)
     return [int(s) for s in state]
@@ -197,6 +206,11 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     n_images = _number(cfg, "n_images", 1000, int)
     max_epochs = _number(cfg, "max_epochs", 4000, int)
     patience = _number(cfg, "patience", 200, int)
+    if patience < 1:
+        raise CliError("train-toy needs patience >= 1")
+    ppuv = _number(cfg, "pixels_per_unit_volume", None, int)  # None: automatic per scenario
+    if ppuv is not None and ppuv < 1:
+        raise CliError("train-toy needs pixels_per_unit_volume >= 1")
     n_resamples = _number(cfg, "n_resamples", 10000, int)
     lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
     reports_path = _path(cfg, "reports_path", "train_reports.jsonl", out_dir)
@@ -206,7 +220,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     summary_rows = []
     for si, spec in enumerate(scenarios):
         model = expand_scenario(spec)
-        ppuv = int(_number(cfg, "pixels_per_unit_volume", None) or _auto_resolution(spec))
+        resolution = ppuv if ppuv is not None else _auto_resolution(spec)
         for li, loss_kind in enumerate(losses):
             cell_biases_soft = []
             cell_biases_hard = []
@@ -218,7 +232,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                     "replicate": rep,
                 }
                 try:
-                    dataset = generate_dataset(model, n_images, ppuv, data_seed)
+                    dataset = generate_dataset(model, n_images, resolution, data_seed)
                     report = train(
                         dataset,
                         loss_kind,
@@ -355,6 +369,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("--seed must be a nonnegative integer")
         cfg, cfg_dir = _load_config(args.config)
         out_dir = Path(args.out)
+        _check_out_dir(out_dir)
         _COMMANDS[args.command](cfg, args.seed, out_dir, cfg_dir)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,28 +11,24 @@ scaled by the uncertain volume, is the systematic volume bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .regions import RegionModel, ScenarioSpec
-from .risk import PredictionAssignment, ce_curve, expected_sd_binomial, sd_binomial_curve
+from .risk import PredictionAssignment, ce_curve, sd_binomial_curve
 
 __all__ = [
     "RiskCurve",
     "BiasPoint",
     "SwitchPoint",
     "SdMinimum",
-    "golden_section",
     "ce_minimizer",
     "sd_minimizer",
     "risk_curve",
     "bias_curve",
     "find_switch_point",
 ]
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-
 
 @dataclass(frozen=True)
 class RiskCurve:
@@ -89,27 +85,6 @@ class SdMinimum(NamedTuple):
     tie: bool  # both endpoints attain the minimum; 0 is reported
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [lo, hi] to bracket width tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def ce_minimizer(model: RegionModel) -> PredictionAssignment:
     """Risk-optimal predictions under expected cross-entropy: the truth.
 
@@ -122,34 +97,36 @@ def ce_minimizer(model: RegionModel) -> PredictionAssignment:
 def sd_minimizer(spec: ScenarioSpec, grid: int = 101, refine_tol: float = 1e-6) -> SdMinimum:
     """Globally minimize the expected soft-Dice loss over the shared prediction.
 
-    A coarse grid on [0, 1] locates the best bracket, golden-section search
-    refines it to ``refine_tol``, and the exact endpoints stay in the
-    candidate set so a boundary optimum is returned as exactly 0.0 or 1.0.
-    Ties between the two endpoints are broken toward 0 and flagged.
+    A ``grid``-point scan of [0, 1] locates the best grid point; the same
+    scan is then laid over the bracket between that point's neighbours, and
+    the zoom repeats until the bracket is at most ``refine_tol`` wide (or no
+    longer narrows in floating point). Every grid contains its bracket's
+    ends, so a boundary optimum is returned as exactly 0.0 or 1.0. Ties
+    between the two endpoints are broken toward 0 and flagged.
     """
     if grid < 101:
         raise ValueError(f"grid must be >= 101, got {grid}")
     if refine_tol <= 0:
         raise ValueError("refine_tol must be > 0")
 
-    def f(q: float) -> float:
-        return expected_sd_binomial(spec, q).value
-
     qs = np.linspace(0.0, 1.0, grid)
     vals = sd_binomial_curve(spec, qs)
-    i = int(np.argmin(vals))  # first minimum: ties lean toward 0
+    at_0, at_1 = vals[0], vals[-1]
+    best, width = (np.inf, 0.0), np.inf
+    while True:
+        i = int(np.argmin(vals))  # first minimum: ties lean toward 0
+        best = min(best, (vals[i], qs[i]))  # with equal losses the smaller p_tilde wins
+        lo, hi = qs[max(i - 1, 0)], qs[min(i + 1, grid - 1)]
+        if hi - lo <= refine_tol or hi - lo >= width:
+            break
+        width = hi - lo
+        qs = np.linspace(lo, hi, grid)
+        vals = sd_binomial_curve(spec, qs)
+    loss_opt, p_opt = best
 
-    lo = qs[max(i - 1, 0)]
-    hi = qs[min(i + 1, grid - 1)]
-    x_ref, f_ref = golden_section(f, lo, hi, refine_tol)
-
-    # Candidate order matters: with equal losses the smaller p_tilde wins.
-    candidates = [(vals[0], 0.0), (vals[-1], 1.0), (vals[i], float(qs[i])), (f_ref, x_ref)]
-    loss_opt, p_opt = min(candidates, key=lambda c: (c[0], c[1]))
-
-    tie = abs(vals[0] - vals[-1]) <= 1e-12 and vals[0] <= loss_opt + 1e-12
+    tie = abs(at_0 - at_1) <= 1e-12 and at_0 <= loss_opt + 1e-12
     if tie:
-        loss_opt, p_opt = vals[0], 0.0
+        loss_opt, p_opt = at_0, 0.0
     return SdMinimum(float(p_opt), float(loss_opt), bool(tie))
 
 
@@ -221,6 +198,8 @@ def find_switch_point(
         return SwitchPoint(None)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket no longer narrows in floating point
+            break
         if gap(mid) > 0.0:
             lo = mid
         else:

@@ -420,6 +420,8 @@ def train(
         lr = DEFAULT_LR[loss_kind]
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
     i_train, i_val, i_test = _split_indices(dataset.n_images, seed)
     if i_test.size == 0:
         raise ValueError("dataset too small to hold out test images")

@@ -3,12 +3,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from volbias import cli
 from volbias.cli import main
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def write_config(tmp_path: Path, name: str, obj: dict) -> Path:
@@ -232,6 +238,10 @@ class TestDeterminismAndErrors:
             ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_alpha": math.nan}),
             ("risk-curve", {"k_list": [1], "mu_list": [math.nan], "p_beta_grid": [0.5]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_gamma": math.inf}]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": -5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": -3}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, command, cfg_obj):
@@ -277,13 +287,33 @@ class TestDeterminismAndErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_out_below_a_file_fails_cleanly(self, tmp_path, capsys):
+    def test_out_below_a_file_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "file").write_text("")
-        cfg = write_config(tmp_path, "cfg.json", {"a": [1, 2], "b": [0, 0], "n_resamples": 1000})
-        assert run(["bootstrap", "--config", cfg, "--out", tmp_path / "file" / "out"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert (tmp_path / "file").read_text() == ""
+        # the check comes before any work: train-toy must not train a cell
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("trained despite an unusable --out"))
+        for command, cfg_obj in (
+            ("bootstrap", {"a": [1, 2], "b": [0, 0], "n_resamples": 1000}),
+            ("train-toy", TestTrainToyCommand.CONFIG),
+        ):
+            cfg = write_config(tmp_path, "cfg.json", cfg_obj)
+            assert run([command, "--config", cfg, "--out", tmp_path / "file" / "out"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert (tmp_path / "file").read_text() == ""
+
+    @pytest.mark.parametrize("key", ["switch_tol", "refine_tol"])
+    def test_tiny_tolerance_terminates(self, tmp_path, key):
+        # A bracket that stops narrowing in floating point must end the
+        # search; run in a subprocess so a regression fails, not hangs.
+        cfg = write_config(tmp_path, "cfg.json", {"k_list": [1, 4], "mu_list": [1.0], "p_beta_grid": [0.25, 0.75], key: 1e-300})
+        argv = [sys.executable, "-m", "volbias.cli", "bias-curve", "--config", str(cfg), "--out", str(tmp_path)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        rows = read_rows(tmp_path / "bias_curve.csv")
+        # below ~1e-15 the zoom resolves rounding noise, not the risk
+        assert [float(r["p_tilde_opt"]) for r in rows] == pytest.approx([0.0, 1.0, 0.0, 1.0], abs=1e-9)
+        assert float(rows[0]["switch_point"]) == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
     def test_large_k_writes_finite_rows(self, tmp_path, command):

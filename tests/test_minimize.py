@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volbias import (
     ScenarioSpec,
@@ -11,9 +13,10 @@ from volbias import (
     expected_ce,
     expected_sd_binomial,
     find_switch_point,
-    golden_section,
+    minimize,
     risk_curve,
     scenario_prediction,
+    sd_binomial_curve,
     sd_minimizer,
 )
 from volbias.regions import Region, RegionModel
@@ -22,20 +25,6 @@ from volbias.risk import PredictionAssignment
 
 def scenario(s_alpha, s_gamma, mu, k, p):
     return ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        x, fx = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-9)
-        assert abs(x - 0.3) < 1e-8 and fx < 1e-15
-
-    def test_monotone_function_returns_boundary(self):
-        x, _ = golden_section(lambda t: t, 0.0, 1.0, 1e-9)
-        assert x < 1e-8
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            golden_section(lambda t: t, 0.0, 1.0, 0.0)
 
 
 class TestCeMinimizer:
@@ -99,6 +88,30 @@ class TestSdMinimizer:
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
             sd_minimizer(scenario(100, 1, 1.0, 1, 0.5), grid=10)
+
+    def test_rejects_nonpositive_tolerance(self):
+        with pytest.raises(ValueError):
+            sd_minimizer(scenario(100, 1, 1.0, 1, 0.5), refine_tol=0)
+
+    def test_zoom_finds_interior_minimum(self, monkeypatch):
+        # No canonical scenario has an interior optimum, so stand in a
+        # quadratic risk whose minimum falls between grid points.
+        monkeypatch.setattr(minimize, "sd_binomial_curve", lambda spec, q: (np.asarray(q) - 0.3137) ** 2)
+        out = sd_minimizer(scenario(100, 1, 1.0, 1, 0.5), refine_tol=1e-6)
+        assert abs(out.p_tilde_opt - 0.3137) <= 1e-6 and not out.tie
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(1, 64),
+        mu=st.floats(0.0, 8.0),
+        p=st.floats(0.0, 1.0),
+        s_alpha=st.floats(0.0, 200.0),
+        s_gamma=st.floats(0.1, 3.0),
+    )
+    def test_never_above_a_fine_scan(self, k, mu, p, s_alpha, s_gamma):
+        spec = scenario(s_alpha, s_gamma, mu, k, p)
+        scan = sd_binomial_curve(spec, np.linspace(0.0, 1.0, 1001))
+        assert sd_minimizer(spec).loss_opt <= scan.min() + 1e-12
 
 
 class TestRiskCurve:
