@@ -28,7 +28,7 @@ import numpy as np
 from .minimize import bias_curve, find_switch_point, risk_curve
 from .regions import ScenarioSpec, expand_scenario
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
-from .trainer import TrainingDivergedError, generate_dataset, train
+from .trainer import DEFAULT_LR, TrainingDivergedError, generate_dataset, train
 
 __all__ = ["main"]
 
@@ -88,6 +88,14 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _integer(value) -> int:
+    """``int(value)`` that refuses to truncate: 1e4 gives 10000, 1.7 is an error."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _list(cfg, key, cast=float, default=None) -> list:
     """``cfg[key]`` as a nonempty list, each entry cast; required where there is no default."""
     values = _require(cfg, key) if default is None else cfg.get(key, default)
@@ -99,15 +107,18 @@ def _list(cfg, key, cast=float, default=None) -> list:
         raise CliError(f"config key {key!r} holds a bad entry: {exc}")
 
 
-def _number(cfg, key, default, cast=float):
-    """``cfg[key]`` (``default`` when absent) cast to a number; None stays None where the default is None."""
+def _number(cfg, key, default, cast=float, minimum=None):
+    """``cfg[key]`` (``default`` when absent), cast and at least ``minimum``; None stays None where the default is None."""
     value = cfg.get(key, default)
     if value is None and default is None:
         return None
     try:
-        return cast(value)
+        number = cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise CliError(f"config key {key!r} must be a number, got {value!r}")
+        raise CliError(f"config key {key!r} must be {'an integer' if cast is _integer else 'a number'}, got {value!r}")
+    if minimum is not None and not number >= minimum:
+        raise CliError(f"config key {key!r} must be >= {minimum}, got {value!r}")
+    return number
 
 
 def _path(cfg, key, default, base: Path) -> Path:
@@ -138,14 +149,12 @@ def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
 
 
 def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = sorted(_list(cfg, "k_list", int))
+    k_list = sorted(_list(cfg, "k_list", _integer))
     mu_list = sorted(_list(cfg, "mu_list"))
     p_grid = sorted(_list(cfg, "p_beta_grid"))
     s_alpha = _number(cfg, "s_alpha", 100.0)
     s_gamma = _number(cfg, "s_gamma", 1.0)
-    n_points = _number(cfg, "p_tilde_grid_size", 101, int)
-    if n_points < 2:
-        raise CliError("p_tilde_grid_size must be >= 2")
+    n_points = _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2)
     path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
     rows = []
@@ -161,13 +170,11 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
 
 def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = sorted(_list(cfg, "k_list", int))
+    k_list = sorted(_list(cfg, "k_list", _integer))
     mu_list = sorted(_list(cfg, "mu_list"))
     p_grid = sorted(_list(cfg, "p_beta_grid"))
     s_alpha = _number(cfg, "s_alpha", 100.0)
     s_gamma = _number(cfg, "s_gamma", 1.0)
-    grid = _number(cfg, "grid", 101, int)
-    refine_tol = _number(cfg, "refine_tol", 1e-6)
     switch_tol = _number(cfg, "switch_tol", 1e-6)
     path = _path(cfg, "output_path", "bias_curve.csv", out_dir)
 
@@ -175,7 +182,7 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     for k in k_list:
         for mu in mu_list:
             switch = find_switch_point(k, mu, tol=switch_tol, s_alpha=s_alpha, s_gamma=s_gamma)
-            points = bias_curve(k, mu, p_grid, s_alpha=s_alpha, s_gamma=s_gamma, grid=grid, refine_tol=refine_tol)
+            points = bias_curve(k, mu, p_grid, s_alpha=s_alpha, s_gamma=s_gamma)
             for pt in points:
                 rows.append([k, mu, pt.p_beta, pt.p_tilde_opt, pt.prob_error, pt.volume_bias, switch.p_star])
     _write_csv(
@@ -200,19 +207,17 @@ def _scenario_id(spec: ScenarioSpec) -> str:
 def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     scenarios = _list(cfg, "scenarios", ScenarioSpec.from_dict)
     losses = _list(cfg, "losses", str, ["ce", "sd"])
-    n_seeds = _number(cfg, "n_seeds", 1, int)
-    if n_seeds < 1:
-        raise CliError("train-toy needs n_seeds >= 1")
-    n_images = _number(cfg, "n_images", 1000, int)
-    max_epochs = _number(cfg, "max_epochs", 4000, int)
-    patience = _number(cfg, "patience", 200, int)
-    if patience < 1:
-        raise CliError("train-toy needs patience >= 1")
-    ppuv = _number(cfg, "pixels_per_unit_volume", None, int)  # None: automatic per scenario
-    if ppuv is not None and ppuv < 1:
-        raise CliError("train-toy needs pixels_per_unit_volume >= 1")
-    n_resamples = _number(cfg, "n_resamples", 10000, int)
+    if not set(losses) <= DEFAULT_LR.keys():
+        raise CliError(f"train-toy losses must be among {sorted(DEFAULT_LR)}, got {losses}")
+    n_seeds = _number(cfg, "n_seeds", 1, _integer, minimum=1)
+    n_images = _number(cfg, "n_images", 1000, _integer, minimum=4)  # the 60/20/20 split keeps a test image
+    max_epochs = _number(cfg, "max_epochs", 4000, _integer, minimum=1)
+    patience = _number(cfg, "patience", 200, _integer, minimum=1)
+    ppuv = _number(cfg, "pixels_per_unit_volume", None, _integer, minimum=1)  # None: automatic per scenario
+    n_resamples = _number(cfg, "n_resamples", 10000, _integer, minimum=1000)  # bootstrap_paired's floor
     lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
+    if not all(lr is None or lr > 0 for lr in lr_by_loss.values()):
+        raise CliError("train-toy learning rates lr_ce and lr_sd must be > 0")
     reports_path = _path(cfg, "reports_path", "train_reports.jsonl", out_dir)
     summary_path = _path(cfg, "summary_path", "train_summary.csv", out_dir)
 
@@ -327,7 +332,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
 
 def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    n_resamples = _number(cfg, "n_resamples", 10000, int)
+    n_resamples = _number(cfg, "n_resamples", 10000, _integer)
     path = _path(cfg, "output_path", "bootstrap.json", out_dir)
     if "input_csv" in cfg:
         cols = _read_csv_columns(_path(cfg, "input_csv", None, cfg_dir), ["a", "b"])

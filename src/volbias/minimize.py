@@ -1,11 +1,34 @@
 """Risk-minimizing predictions and the bias structure they induce.
 
 Under expected cross-entropy the optimum is closed-form: predict every
-region's true foreground probability. Under expected soft-Dice the optimum
-must be located numerically; for the canonical scenarios it sits at one of
-the endpoints 0 or 1, flipping from 0 to 1 as the true probability crosses
-a switch point. The gap between the optimizer and the true probability,
-scaled by the uncertain volume, is the systematic volume bias.
+region's true foreground probability. Under expected soft-Dice it is an
+endpoint, 0 below a unique switch point of the true probability and 1
+above it. The gap between the optimizer and the true probability, scaled
+by the uncertain volume, is the systematic volume bias.
+
+The optimum is at q = 0 or q = 1. Take mu, s_gamma > 0 (else E[SD] is
+constant in q); s_gamma cancels. With m of the K uncertain regions
+labeled foreground, let x_m = m*mu/K and D_m = x_m + 2. Then
+SD(m, q) = 1 - 2 (x_m q + 1) / (D_m + mu q), and with binomial weights
+w_m, E[SD](q) = 1 - 2 R(q), R(q) = const + sum_m c_m / (D_m + mu q),
+c_m = w_m (1 - x_m D_m / mu). D_m increases with m, and c_m has the sign
+of mu - x_m D_m: + up to some m*, - from there on. So exp(D_m* s) g(s),
+g(s) = sum_m c_m exp(-D_m s), is a sum of nondecreasing terms, and g
+changes sign at most once, from - to +, at some s* (Descartes' rule for
+exponential sums; Polya-Szego, Problems and Theorems in Analysis II,
+part V). As 1/(D + t)^2 = int_0^inf s exp(-(D + t) s) ds, R'(q) =
+-mu h(mu q) with h(t) = int exp(-t s) s g(s) ds, and d/dt exp(t s*) h(t)
+= -int (s - s*) exp(-t (s - s*)) s g(s) ds <= 0. So R' changes sign at
+most once, from - to +: R is quasi-convex and E[SD] quasi-concave in q,
+with its minimum on [0, 1] at an endpoint.
+
+The gap E[SD](q=1) - E[SD](q=0) = sum_m B_m(p) d_m, with Bernstein
+weights B_m(p) = C(K, m) p^m (1-p)^(K-m) and d_m = SD(m, 1) - SD(m, 0)
+of the sign of mu - x_m D_m, has one root in p. The Bernstein basis is
+variation-diminishing (Lorentz, Bernstein Polynomials): with z = p/(1-p),
+z^-m* (1-p)^-K gap = sum_m C(K, m) d_m z^(m - m*) decreases strictly in
+z, from + at p = 0 to - at p = 1. So the switch point exists and is
+unique, and the bracket test of ``find_switch_point`` is exact.
 """
 
 from __future__ import annotations
@@ -94,40 +117,16 @@ def ce_minimizer(model: RegionModel) -> PredictionAssignment:
     return PredictionAssignment(model.probabilities.copy())
 
 
-def sd_minimizer(spec: ScenarioSpec, grid: int = 101, refine_tol: float = 1e-6) -> SdMinimum:
+def sd_minimizer(spec: ScenarioSpec) -> SdMinimum:
     """Globally minimize the expected soft-Dice loss over the shared prediction.
 
-    A ``grid``-point scan of [0, 1] locates the best grid point; the same
-    scan is then laid over the bracket between that point's neighbours, and
-    the zoom repeats until the bracket is at most ``refine_tol`` wide (or no
-    longer narrows in floating point). Every grid contains its bracket's
-    ends, so a boundary optimum is returned as exactly 0.0 or 1.0. Ties
-    between the two endpoints are broken toward 0 and flagged.
+    The minimum is at q = 0 or q = 1 (see the module docstring). Endpoint
+    losses within 1e-12 of each other are a tie, reported at 0 and flagged.
     """
-    if grid < 101:
-        raise ValueError(f"grid must be >= 101, got {grid}")
-    if refine_tol <= 0:
-        raise ValueError("refine_tol must be > 0")
-
-    qs = np.linspace(0.0, 1.0, grid)
-    vals = sd_binomial_curve(spec, qs)
-    at_0, at_1 = vals[0], vals[-1]
-    best, width = (np.inf, 0.0), np.inf
-    while True:
-        i = int(np.argmin(vals))  # first minimum: ties lean toward 0
-        best = min(best, (vals[i], qs[i]))  # with equal losses the smaller p_tilde wins
-        lo, hi = qs[max(i - 1, 0)], qs[min(i + 1, grid - 1)]
-        if hi - lo <= refine_tol or hi - lo >= width:
-            break
-        width = hi - lo
-        qs = np.linspace(lo, hi, grid)
-        vals = sd_binomial_curve(spec, qs)
-    loss_opt, p_opt = best
-
-    tie = abs(at_0 - at_1) <= 1e-12 and at_0 <= loss_opt + 1e-12
-    if tie:
-        loss_opt, p_opt = at_0, 0.0
-    return SdMinimum(float(p_opt), float(loss_opt), bool(tie))
+    at_0, at_1 = (float(v) for v in sd_binomial_curve(spec, (0.0, 1.0)))
+    if abs(at_0 - at_1) <= 1e-12:
+        return SdMinimum(0.0, at_0, True)
+    return SdMinimum(0.0, at_0, False) if at_0 < at_1 else SdMinimum(1.0, at_1, False)
 
 
 def risk_curve(spec: ScenarioSpec, loss_kind: str, n_points: int) -> RiskCurve:
@@ -154,8 +153,6 @@ def bias_curve(
     p_grid: Sequence[float],
     s_alpha: float = 100.0,
     s_gamma: float = 1.0,
-    grid: int = 101,
-    refine_tol: float = 1e-6,
 ) -> list[BiasPoint]:
     """Soft-Dice probability error and volume bias across true probabilities.
 
@@ -165,7 +162,7 @@ def bias_curve(
     """
     points = []
     for p in p_grid:
-        opt = sd_minimizer(_scenario(k, mu, p, s_alpha, s_gamma), grid=grid, refine_tol=refine_tol)
+        opt = sd_minimizer(_scenario(k, mu, p, s_alpha, s_gamma))
         err = opt.p_tilde_opt - p
         points.append(BiasPoint(float(p), opt.p_tilde_opt, float(err), float(mu * s_gamma * err)))
     return points

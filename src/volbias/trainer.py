@@ -129,10 +129,6 @@ class ToyModel:
         if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
 
-    def region_predictions(self) -> np.ndarray:
-        """Predicted probability for a pixel of each region."""
-        return sigmoid(self.weights + self.bias)
-
 
 @dataclass(frozen=True)
 class TrainReport:
@@ -350,7 +346,6 @@ def _fit(
     best_val = np.inf
     since_improvement = 0
     cur_lr = lr
-    epoch = 0
     stopped = False
     for epoch in range(1, max_epochs + 1):
         y = sigmoid(w + b)
@@ -420,6 +415,8 @@ def train(
         lr = DEFAULT_LR[loss_kind]
     if lr <= 0:
         raise ValueError("learning rate must be > 0")
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
     if patience < 1:
         raise ValueError(f"patience must be >= 1, got {patience}")
     i_train, i_val, i_test = _split_indices(dataset.n_images, seed)

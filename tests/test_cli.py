@@ -77,6 +77,11 @@ class TestBiasCurveCommand:
         assert float(low["switch_point"]) == pytest.approx(0.5, abs=1e-5)
         assert float(by_key[("16", "4", "0.25")]["switch_point"]) < float(by_key[("4", "4", "0.25")]["switch_point"])
 
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {"k_list": [4.0, 1e0], "mu_list": [1.0], "p_beta_grid": [0.25]})
+        assert run(["bias-curve", "--config", cfg, "--out", tmp_path]) == 0
+        assert [r["k"] for r in read_rows(tmp_path / "bias_curve.csv")] == ["1", "4"]
+
     def test_volume_bias_column(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"k_list": [1], "mu_list": [4.0], "p_beta_grid": [0.25]})
         assert run(["bias-curve", "--config", cfg, "--out", tmp_path]) == 0
@@ -217,7 +222,7 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
     @pytest.mark.parametrize(
         "override",
-        [{"p_beta_grid": 0.5}, {"k_list": 4}, {"k_list": []}, {"k_list": [None]}, {"mu_list": ["x"]}],
+        [{"p_beta_grid": 0.5}, {"k_list": 4}, {"k_list": []}, {"k_list": [None]}, {"mu_list": ["x"]}, {"k_list": [1.7]}],
     )
     def test_malformed_grid_fails_cleanly(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "cfg.json", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], **override})
@@ -242,9 +247,27 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": -5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": -3}),
+            # integer keys refuse to truncate
+            ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": 10.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 2.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 300.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": 600.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 100.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": 10.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 2000.5}),
+            ("bootstrap", {"a": [1, 2], "b": [0, 0], "n_resamples": 2000.5}),
+            # train-toy config errors, not per-cell error records
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "losses": ["dice"]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 3}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_ce": -1}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 0}),
         ],
     )
-    def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, command, cfg_obj):
+    def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):
+        # every check comes before any work: train-toy must not train a cell
+        monkeypatch.setattr(cli, "train", lambda *a, **kw: pytest.fail("trained despite a config error"))
         cfg = write_config(tmp_path, "cfg.json", cfg_obj)
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 1
         err = capsys.readouterr().err
@@ -301,7 +324,7 @@ class TestDeterminismAndErrors:
             assert err.startswith("error:") and err.count("\n") == 1
             assert (tmp_path / "file").read_text() == ""
 
-    @pytest.mark.parametrize("key", ["switch_tol", "refine_tol"])
+    @pytest.mark.parametrize("key", ["switch_tol"])
     def test_tiny_tolerance_terminates(self, tmp_path, key):
         # A bracket that stops narrowing in floating point must end the
         # search; run in a subprocess so a regression fails, not hangs.
@@ -311,8 +334,7 @@ class TestDeterminismAndErrors:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         rows = read_rows(tmp_path / "bias_curve.csv")
-        # below ~1e-15 the zoom resolves rounding noise, not the risk
-        assert [float(r["p_tilde_opt"]) for r in rows] == pytest.approx([0.0, 1.0, 0.0, 1.0], abs=1e-9)
+        assert [float(r["p_tilde_opt"]) for r in rows] == [0.0, 1.0, 0.0, 1.0]
         assert float(rows[0]["switch_point"]) == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])

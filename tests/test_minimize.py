@@ -13,7 +13,6 @@ from volbias import (
     expected_ce,
     expected_sd_binomial,
     find_switch_point,
-    minimize,
     risk_curve,
     scenario_prediction,
     sd_binomial_curve,
@@ -25,6 +24,16 @@ from volbias.risk import PredictionAssignment
 
 def scenario(s_alpha, s_gamma, mu, k, p):
     return ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
+
+
+SPAN = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)  # volumes and ratios from 1e-3 to 1e3
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0, 1e-6]), st.floats(0.0, 1.0))
+
+
+def assert_one_sign_change_down(values, floor=1e-13):
+    """Entries above ``floor`` in magnitude go from positive to negative at most once."""
+    signs = np.sign(values[np.abs(values) > floor])
+    assert np.all(np.diff(signs) <= 0), signs
 
 
 class TestCeMinimizer:
@@ -85,21 +94,6 @@ class TestSdMinimizer:
                     out = sd_minimizer(scenario(100, 1, mu, k, p))
                     assert min(out.p_tilde_opt, 1.0 - out.p_tilde_opt) < 1e-6
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ValueError):
-            sd_minimizer(scenario(100, 1, 1.0, 1, 0.5), grid=10)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            sd_minimizer(scenario(100, 1, 1.0, 1, 0.5), refine_tol=0)
-
-    def test_zoom_finds_interior_minimum(self, monkeypatch):
-        # No canonical scenario has an interior optimum, so stand in a
-        # quadratic risk whose minimum falls between grid points.
-        monkeypatch.setattr(minimize, "sd_binomial_curve", lambda spec, q: (np.asarray(q) - 0.3137) ** 2)
-        out = sd_minimizer(scenario(100, 1, 1.0, 1, 0.5), refine_tol=1e-6)
-        assert abs(out.p_tilde_opt - 0.3137) <= 1e-6 and not out.tie
-
     @settings(deadline=None, max_examples=60)
     @given(
         k=st.integers(1, 64),
@@ -112,6 +106,13 @@ class TestSdMinimizer:
         spec = scenario(s_alpha, s_gamma, mu, k, p)
         scan = sd_binomial_curve(spec, np.linspace(0.0, 1.0, 1001))
         assert sd_minimizer(spec).loss_opt <= scan.min() + 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(k=st.integers(1, 300), mu=SPAN, p=PROBABILITY, s_alpha=SPAN, s_gamma=SPAN)
+    def test_curve_rises_then_falls(self, k, mu, p, s_alpha, s_gamma):
+        # E[SD] is quasi-concave in q, so its minimum is an endpoint
+        steps = np.diff(sd_binomial_curve(scenario(s_alpha, s_gamma, mu, k, p), np.linspace(0.0, 1.0, 1001)))
+        assert_one_sign_change_down(steps)
 
 
 class TestRiskCurve:
@@ -198,6 +199,13 @@ class TestSwitchPoint:
     def test_no_switch_without_uncertain_volume(self):
         sw = find_switch_point(1, 0.0, tol=1e-6)
         assert not sw.found and sw.p_star is None
+
+    @settings(deadline=None, max_examples=30)
+    @given(k=st.integers(1, 300), mu=SPAN, s_alpha=SPAN, s_gamma=SPAN)
+    def test_gap_changes_sign_once(self, k, mu, s_alpha, s_gamma):
+        # the bracket test of find_switch_point is exact: one root at most
+        ends = [sd_binomial_curve(scenario(s_alpha, s_gamma, mu, k, p), (0.0, 1.0)) for p in np.linspace(0.0, 1.0, 201)]
+        assert_one_sign_change_down(np.array([at_1 - at_0 for at_0, at_1 in ends]))
 
     def test_switch_brackets_the_argmin_flip(self):
         sw = find_switch_point(4, 4.0, tol=1e-9)

@@ -338,6 +338,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="patience"):
             train(ds, "ce", patience=patience)
 
+    @pytest.mark.parametrize("max_epochs", [0, -1])
+    def test_nonpositive_max_epochs_rejected(self, max_epochs):
+        model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
+        ds = generate_dataset(model, 100, 10, seed=27)
+        with pytest.raises(ValueError, match="max_epochs"):
+            train(ds, "ce", max_epochs=max_epochs)
+
     def test_warm_start_from_ce_keeps_sd_binary(self):
         # pretraining with cross-entropy does not rescue the soft-Dice
         # bias: continued SD training still saturates to an endpoint
