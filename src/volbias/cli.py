@@ -306,6 +306,8 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     true = np.array([float(v) for v in cols["true_volume"]])
     pred = np.array([float(v) for v in cols["pred_volume"]])
     split = np.array(cols["split"])
+    if not (np.isfinite(true).all() and np.isfinite(pred).all()):
+        raise CliError(f"{input_csv} holds a non-finite volume")
 
     train_mask = split == "train"
     val_mask = split == "val"

@@ -182,8 +182,8 @@ def find_switch_point(
     over-estimation. Returns a no-switch result if the gap never changes
     sign on [0, 1].
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
 
     def gap(p: float) -> float:
         at_0, at_1 = sd_binomial_curve(_scenario(k, mu, p, s_alpha, s_gamma), (0.0, 1.0))

@@ -101,6 +101,7 @@ class ScenarioSpec:
             raise ValueError("volumes and volume ratios must be finite and >= 0")
         if int(self.k_regions) != self.k_regions or self.k_regions < 1:
             raise ValueError(f"k_regions must be a positive integer, got {self.k_regions}")
+        object.__setattr__(self, "k_regions", int(self.k_regions))
         if not 0.0 <= self.p_beta <= 1.0:
             raise ValueError(f"p_beta must lie in [0, 1], got {self.p_beta}")
 
@@ -110,7 +111,7 @@ class ScenarioSpec:
                 "s_alpha": self.s_alpha,
                 "s_gamma": self.s_gamma,
                 "mu": self.mu,
-                "k_regions": int(self.k_regions),
+                "k_regions": self.k_regions,
                 "p_beta": self.p_beta,
             }
         )
@@ -131,7 +132,7 @@ class ScenarioSpec:
             s_alpha=float(obj["s_alpha"]),
             s_gamma=float(obj["s_gamma"]),
             mu=float(obj["mu"]),
-            k_regions=int(obj["k_regions"]),
+            k_regions=obj["k_regions"],
             p_beta=float(obj["p_beta"]),
         )
 

@@ -2,14 +2,13 @@
 
 Expected cross-entropy decomposes by linearity into a closed-form sum over
 regions. The expected soft-Dice loss does not: its ratio couples all
-regions, so it is evaluated either by exhaustive enumeration of label
-configurations (general models) or by a binomial collapse (homogeneous
-scenarios, where only the count of uncertain regions labeled foreground
-matters).
-
-All sums are volume-weighted, and the CE term and the soft-Dice ratio are
-those of :mod:`volbias.losses`: each route here only builds its label
-configurations and their probabilities.
+regions, so one kernel sums it over the foreground counts of independent
+groups of interchangeable uncertain regions, with binomial weights.
+Exhaustive enumeration makes every uncertain region a group of one (2^U
+configurations); the binomial collapse makes the K uncertain regions of a
+homogeneous scenario one group (K+1 counts). Regions with probability 0 or
+1 are never a group: they fold into a fixed label volume and overlap. The
+CE term and the soft-Dice ratio are those of :mod:`volbias.losses`.
 """
 
 from __future__ import annotations
@@ -126,49 +125,26 @@ def ce_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
 def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:
     """Expected soft-Dice loss by enumerating all label configurations.
 
-    Regions with probability exactly 0 or 1 have a single possible label
-    and are folded out analytically, so the 2^U enumeration runs only over
-    the U genuinely uncertain regions. Configuration probabilities are
-    accumulated in log space and exponentiated once per configuration.
+    Every uncertain region is its own group, so all 2^U configurations of
+    the U uncertain regions are enumerated; identical regions are never
+    merged.
     """
     _check_assignment(model, pred)
-    s = model.volumes
-    p = model.probabilities
-    q = pred.p_pred
+    s, p, q = model.volumes, model.probabilities, pred.p_pred
 
     uncertain = (p > 0.0) & (p < 1.0)
     n_unc = int(np.count_nonzero(uncertain))
     if n_unc > MAX_UNCERTAIN_REGIONS:
         raise TooManyUncertainRegionsError(
-            f"{n_unc} uncertain regions exceed the enumeration limit of "
-            f"{MAX_UNCERTAIN_REGIONS}; for homogeneous scenarios use "
-            f"expected_sd_binomial instead"
+            f"{n_unc} uncertain regions exceed the enumeration limit of {MAX_UNCERTAIN_REGIONS}; "
+            "for homogeneous scenarios use expected_sd_binomial instead"
         )
 
-    # Contributions of the certain regions (label == its probability).
-    certain_labels = p[~uncertain]
-    inter0 = float((s[~uncertain] * certain_labels) @ q[~uncertain])
-    target0 = float(s[~uncertain] @ certain_labels)
-    pred_sum = float(s @ q)  # identical for every configuration
-
-    n_cfg = 1 << n_unc
-    inter = np.empty(n_cfg)
-    target = np.empty(n_cfg)
-    logw = np.empty(n_cfg)
-    inter[0] = inter0
-    target[0] = target0
-    logw[0] = 0.0
-    size = 1
-    for j in np.flatnonzero(uncertain):
-        inter[size : 2 * size] = inter[:size] + s[j] * q[j]
-        target[size : 2 * size] = target[:size] + s[j]
-        logw[size : 2 * size] = logw[:size] + np.log(p[j])
-        logw[:size] += np.log1p(-p[j])
-        size *= 2
-
-    sd = _sd_ratio(inter, target + pred_sum)  # before exp(logw): one array fewer alive at the peak
-    value = float(np.exp(logw) @ sd)
-    return ExpectedLoss(value, config_count=n_cfg, method="exhaustive")
+    certain = ~uncertain
+    groups = zip(_binomial_log_weights(1, p[uncertain]), s[uncertain], q[uncertain])
+    label_volume, overlap = s[certain] @ p[certain], (s[certain] * p[certain]) @ q[certain]
+    value = float(_expected_sd(groups, label_volume, overlap, float(s @ q))[0])
+    return ExpectedLoss(value, config_count=1 << n_unc, method="exhaustive")
 
 
 def expected_sd_binomial(spec: ScenarioSpec, p_tilde_beta: float) -> ExpectedLoss:
@@ -183,21 +159,40 @@ def expected_sd_binomial(spec: ScenarioSpec, p_tilde_beta: float) -> ExpectedLos
 def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     """Expected soft-Dice loss of a homogeneous scenario via binomial sums.
 
-    With K interchangeable uncertain regions, the loss of a configuration
-    depends only on the count m of them labeled foreground, so the 2^K
-    enumeration collapses to K+1 binomially weighted terms:
-    E[SD](q) = B(p) . SD(m, q). The weights B(p) do not depend on q, so
-    every entry q of ``p_tilde`` is evaluated by one matrix product.
-    Background is predicted 0 and certain foreground 1, their risk-optimal
-    values.
+    The K interchangeable uncertain regions are one group, so the 2^K
+    enumeration collapses to K+1 binomially weighted counts, and every
+    entry q of ``p_tilde`` is evaluated in one matrix product. Background
+    is predicted 0 and certain foreground 1, their risk-optimal values.
     """
     q = _prediction_grid(p_tilde)
-    k = int(spec.k_regions)
-    m_volume = np.arange(k + 1)[:, None] * (spec.mu * spec.s_gamma / k)
+    k, volume = spec.k_regions, spec.mu * spec.s_gamma / spec.k_regions
     pred_sum = spec.mu * spec.s_gamma * q + spec.s_gamma
-    inter = m_volume * q + spec.s_gamma
-    target = m_volume + spec.s_gamma
-    return _binomial_weights(k, spec.p_beta) @ _sd_ratio(inter, target + pred_sum)
+    if 0.0 < spec.p_beta < 1.0:
+        group = (_binomial_log_weights(k, spec.p_beta)[0], volume, q)
+        return _expected_sd([group], spec.s_gamma, spec.s_gamma, pred_sum)
+    fixed = k * volume * spec.p_beta
+    return _expected_sd([], fixed + spec.s_gamma, fixed * q + spec.s_gamma, pred_sum)
+
+
+def _expected_sd(groups, label_volume: float, overlap, pred_sum) -> np.ndarray:
+    """Expected soft-Dice loss over independent groups of interchangeable regions.
+
+    A group is (log_weights, volume, prediction); ``log_weights[m]`` is the
+    log probability that m of its regions are foreground. Configurations
+    (first group's count fastest) carry log weights, label volumes starting
+    at ``label_volume`` and overlaps starting at ``overlap``. Predictions,
+    ``overlap`` and the predicted volume ``pred_sum`` are scalars or share a grid.
+    """
+    logw, target, inter = np.zeros(1), np.array([label_volume]), overlap
+    for log_b, volume, q in groups:
+        counts = np.arange(log_b.size) * volume
+        inter = (counts[:, None, None] * q + inter).reshape(counts.size * target.size, -1)
+        target = (counts[:, None] + target).ravel()
+        logw = (log_b[:, None] + logw).ravel()
+
+    target = target[:, None] + pred_sum  # the denominators; rebinding frees the label volumes
+    sd = _sd_ratio(inter, target)  # before exp(logw): one array fewer alive at the peak
+    return np.maximum(np.exp(logw) @ sd, 0.0)  # E[SD] >= 0; a perfect prediction can round to -2e-16
 
 
 def _prediction_grid(p_tilde) -> np.ndarray:
@@ -209,21 +204,18 @@ def _prediction_grid(p_tilde) -> np.ndarray:
     return q
 
 
-def _binomial_weights(k: int, p: float) -> np.ndarray:
-    """Binomial(k, p) probabilities of m = 0..k.
+def _binomial_log_weights(k: int, p) -> np.ndarray:
+    """Log Binomial(k, p) probabilities of m = 0..k, one row per entry of ``p``.
 
-    Computed in log space, log C(k, m) as a running sum of
-    log((k - i + 1) / i), so no binomial coefficient is ever formed and no
-    k is too large to represent. The sum runs to m = k/2 only and is
-    mirrored by C(k, m) = C(k, k - m), which halves its rounding. p in
-    {0, 1} puts all mass on one count.
+    Each p lies strictly between 0 and 1: a certain label forms no group.
+    log C(k, m) is a running sum of log((k - i + 1) / i), so no binomial
+    coefficient is ever formed and no k is too large to represent. The sum
+    runs to m = k/2 only and is mirrored by C(k, m) = C(k, k - m), which
+    halves its rounding.
     """
-    if p == 0.0 or p == 1.0:
-        weights = np.zeros(k + 1)
-        weights[0 if p == 0.0 else k] = 1.0
-        return weights
     i = np.arange(1, k // 2 + 1)
     head = np.concatenate(([0.0], np.cumsum(np.log((k - i + 1) / i))))
     log_comb = np.concatenate((head, head[(k - 1) // 2 :: -1]))
     m = np.arange(k + 1)
-    return np.exp(log_comb + m * math.log(p) + (k - m) * math.log1p(-p))
+    log_p = np.array([(math.log(x), math.log1p(-x)) for x in np.atleast_1d(p)]).reshape(-1, 2)
+    return log_comb + m * log_p[:, :1] + (k - m) * log_p[:, 1:]

@@ -112,6 +112,8 @@ def bootstrap_paired(a, b, n_resamples: int = 10000, seed: int = 0) -> Bootstrap
     if n_resamples < 1000:
         raise ValueError("use at least 1000 resamples")
     d = a - b
+    if not np.isfinite(d).all():
+        raise ValueError("paired samples must be finite")
     rng = make_rng(seed)
     rows = max(1, _RESAMPLE_CHUNK // d.size)
     means = np.empty(n_resamples)
@@ -136,6 +138,8 @@ def fit_calibration(pred_volumes, true_volumes) -> CalibrationFit:
         raise ValueError("volume vectors must be one-dimensional and equally long")
     if pred.size < 3:
         raise ValueError("need at least three points to fit")
+    if not (np.isfinite(pred).all() and np.isfinite(true).all()):
+        raise ValueError("volumes must be finite")
     var = float(np.var(pred))
     if var == 0.0:
         raise ValueError("predicted volumes are all identical; cannot fit a slope")

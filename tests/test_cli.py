@@ -137,6 +137,18 @@ class TestCalibrateCommand:
         path.write_text(text)
         return path
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_volume_fails_cleanly(self, tmp_path, capsys, column, bad):
+        rows = [[float(v), float(v), "train" if v % 2 else "val"] for v in range(1, 25)]
+        rows[1][column] = bad  # a validation row: the fit never sees it, the correction and profile would
+        self.volumes_csv(tmp_path, rows)
+        cfg = write_config(tmp_path, "cfg.json", {"input_csv": "volumes.csv"})
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_identity_data_unchanged(self, tmp_path):
         rows = [(float(v), float(v), "train" if v % 2 else "val") for v in range(1, 25)]
         self.volumes_csv(tmp_path, rows)
@@ -263,6 +275,10 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_ce": -1}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "k_regions": 1.7}]}),
+            # NaN fails every ordered comparison, so it must be refused, not compared
+            ("bias-curve", {"k_list": [4], "mu_list": [4.0], "p_beta_grid": [0.5], "switch_tol": math.nan}),
+            ("bootstrap", {"a": [1.0, math.nan, 2.0], "b": [0.0, 0.0, 0.0]}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):

@@ -200,6 +200,11 @@ class TestSwitchPoint:
         sw = find_switch_point(1, 0.0, tol=1e-6)
         assert not sw.found and sw.p_star is None
 
+    def test_rejects_nan_tolerance(self):
+        # NaN compares false with everything: the bisection would stop at once and report 0.5
+        with pytest.raises(ValueError, match="tolerance"):
+            find_switch_point(4, 4.0, tol=float("nan"))
+
     @settings(deadline=None, max_examples=30)
     @given(k=st.integers(1, 300), mu=SPAN, s_alpha=SPAN, s_gamma=SPAN)
     def test_gap_changes_sign_once(self, k, mu, s_alpha, s_gamma):

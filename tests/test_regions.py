@@ -162,6 +162,14 @@ class TestScenarioJson:
         assert isinstance(obj["k_regions"], int)
         assert ScenarioSpec.from_json(text) == spec
 
+    def test_from_dict_refuses_to_truncate_k_regions(self):
+        obj = {"s_alpha": 100.0, "s_gamma": 1.0, "mu": 1.0, "k_regions": 1.7, "p_beta": 0.5}
+        with pytest.raises(ValueError, match="k_regions"):
+            ScenarioSpec.from_dict(obj)
+        spec = ScenarioSpec.from_dict({**obj, "k_regions": 4.0})
+        assert spec.k_regions == 4 and isinstance(spec.k_regions, int)
+        assert spec.to_json() == ScenarioSpec.from_dict({**obj, "k_regions": 4}).to_json()
+
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec.from_json('{"s_alpha": 1, "s_gamma": 1, "mu": 1, "k_regions": 1}')

@@ -1,10 +1,13 @@
 """Exact expected losses: hand enumerations, route equivalence, Monte Carlo."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volbias import (
     HardMap,
@@ -25,7 +28,7 @@ from volbias import (
     sd_binomial_curve,
     soft_dice_loss,
 )
-from volbias.risk import _binomial_weights
+from volbias.risk import _binomial_log_weights
 
 
 def scenario(s_alpha, s_gamma, mu, k, p):
@@ -175,8 +178,14 @@ class TestExpectedSdBinomial:
 
     @pytest.mark.parametrize("k", [16, 384])
     def test_log_space_weights_match_exact_binomial(self, k):
-        for p in (0.0, 0.001, 0.05, 0.3, 0.5, 0.75, 0.97, 1.0):
-            assert np.max(np.abs(_binomial_weights(k, p) - exact_binomial_weights(k, p))) <= 1e-13
+        for p in (0.001, 0.05, 0.3, 0.5, 0.75, 0.97):
+            weights = np.exp(_binomial_log_weights(k, p)[0])
+            assert np.max(np.abs(weights - exact_binomial_weights(k, p))) <= 1e-13
+        # a certain p_beta forms no group: it folds into the fixed label volume
+        qs = np.linspace(0, 1, 11)
+        for p in (0.0, 1.0):
+            spec = scenario(100, 1, 2.0, k, p)
+            assert np.max(np.abs(sd_binomial_curve(spec, qs) - binomial_reference(spec, qs))) <= 1e-13
 
     def test_loss_in_unit_interval_on_grid(self):
         qs = np.linspace(0, 1, 41)
@@ -196,6 +205,56 @@ class TestExpectedSdBinomial:
                     spec = scenario(100, 1, mu, k, p)
                     optima.append(min(expected_sd_binomial(spec, q).value for q in qs))
                 assert optima[0] <= optima[1] + 1e-12 <= optima[2] + 2e-12
+
+
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+VOLUME = st.floats(0.01, 100.0)
+UNCERTAIN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def product_reference(model, pred):
+    """E[SD] as a plain sum over every 0/1 labeling of the uncertain regions."""
+    s, p, q = model.volumes.tolist(), model.probabilities.tolist(), pred.p_pred.tolist()
+    uncertain = [j for j in range(len(s)) if 0.0 < p[j] < 1.0]
+    pred_sum = sum(sj * qj for sj, qj in zip(s, q))
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=len(uncertain)):
+        labels = [1.0 if pj == 1.0 else 0.0 for pj in p]
+        weight = 1.0
+        for j, bit in zip(uncertain, bits):
+            labels[j] = float(bit)
+            weight *= p[j] if bit else 1.0 - p[j]
+        inter = sum(sj * lj * qj for sj, lj, qj in zip(s, labels, q))
+        denom = sum(sj * lj for sj, lj in zip(s, labels)) + pred_sum
+        total += weight * (1.0 - 2.0 * inter / denom if denom > 0.0 else 0.0)
+    return total
+
+
+class TestExactRouteProperties:
+    @settings(deadline=None, max_examples=40)
+    @given(k=st.integers(1, 12), mu=st.floats(0.0, 10.0), p=PROBABILITY, q=PROBABILITY)
+    def test_exhaustive_equals_binomial_on_homogeneous_scenarios(self, k, mu, p, q):
+        spec = scenario(100, 1, mu, k, p)
+        model = expand_scenario(spec)
+        ex = expected_sd_exhaustive(model, scenario_prediction(model, q)).value
+        curve = float(sd_binomial_curve(spec, [q])[0])
+        assert abs(ex - curve) <= 1e-12
+        assert 0.0 <= ex <= 1.0 and 0.0 <= curve <= 1.0
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        regions=st.lists(st.tuples(VOLUME, UNCERTAIN, st.floats(0.0, 1.0)), max_size=8),
+        certain=st.lists(st.tuples(VOLUME, st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_exhaustive_equals_plain_product_enumeration(self, regions, certain, order):
+        mixed = regions + certain
+        order.shuffle(mixed)  # certain regions at random positions among the uncertain ones
+        model = RegionModel(tuple(Region(v, p) for v, p, _ in mixed))
+        pred = PredictionAssignment([q for _, _, q in mixed])
+        out = expected_sd_exhaustive(model, pred)
+        assert abs(out.value - product_reference(model, pred)) <= 1e-12
+        assert out.config_count == 2 ** len(regions)
 
 
 class TestPredictionAssignment:

@@ -1,6 +1,7 @@
 """Bootstrap test and volume re-calibration."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ class TestBootstrapPaired:
         with pytest.raises(ValueError):
             bootstrap_paired([1.0, 2.0], [1.0, 2.0], n_resamples=10, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_paired([1.0, bad, 2.0], [0.0, 0.0, 0.0], n_resamples=2000, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_paired([1.0, 2.0, 3.0], [0.0, 0.0, bad], n_resamples=2000, seed=0)
+
     def test_one_sided_size_under_null(self):
         # Light calibration check; the acceptance suite runs the full one.
         rng = np.random.default_rng(3)
@@ -124,6 +132,14 @@ class TestFitCalibration:
             fit_calibration(np.ones(10), np.arange(10.0))
         with pytest.raises(ValueError):
             fit_calibration(np.arange(2.0), np.arange(2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_volumes_rejected(self, bad):
+        v = np.arange(1.0, 11.0)
+        with pytest.raises(ValueError, match="finite"):
+            fit_calibration(np.where(v == 5.0, bad, v), v)
+        with pytest.raises(ValueError, match="finite"):
+            fit_calibration(v, np.where(v == 5.0, bad, v))
 
     def test_json_field_names(self):
         v = np.linspace(1, 10, 20)
