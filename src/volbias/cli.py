@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .minimize import bias_curve, find_switch_point, risk_curve
-from .regions import ScenarioSpec, expand_scenario
+from .regions import ScenarioSpec, _json_number, expand_scenario
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
 from .trainer import DEFAULT_LR, TrainingDivergedError, generate_dataset, train
 
@@ -44,8 +44,13 @@ def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
-def _round15(x: float) -> float:
-    return float(f"{float(x):.15g}")
+def _rounded(obj):
+    """``obj`` with every float, also inside lists and dicts, at 15 significant digits."""
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return float(f"{obj:.15g}") if isinstance(obj, float) else obj
 
 
 def _atomic_write(path: Path, text: str):
@@ -90,13 +95,13 @@ def _require(cfg: dict, key: str):
 
 def _integer(value) -> int:
     """``int(value)`` that refuses to truncate: 1e4 gives 10000, 1.7 is an error."""
-    number = int(value)
+    number = _json_number(value, int)
     if isinstance(value, float) and number != value:
         raise ValueError(f"{value!r} is not an integer")
     return number
 
 
-def _list(cfg, key, cast=float, default=None) -> list:
+def _list(cfg, key, cast=_json_number, default=None) -> list:
     """``cfg[key]`` as a nonempty list, each entry cast; required where there is no default."""
     values = _require(cfg, key) if default is None else cfg.get(key, default)
     if not isinstance(values, list) or not values:
@@ -107,7 +112,7 @@ def _list(cfg, key, cast=float, default=None) -> list:
         raise CliError(f"config key {key!r} holds a bad entry: {exc}")
 
 
-def _number(cfg, key, default, cast=float, minimum=None):
+def _number(cfg, key, default, cast=_json_number, minimum=None):
     """``cfg[key]`` (``default`` when absent), cast and at least ``minimum``; None stays None where the default is None."""
     value = cfg.get(key, default)
     if value is None and default is None:
@@ -148,12 +153,14 @@ def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
 # ----------------------------------------------------------------------
 
 
+def _grid(cfg: dict) -> tuple[list[int], list[float], list[float], float, float]:
+    """The sorted k_list, mu_list and p_beta_grid and the s_alpha, s_gamma of a curve command."""
+    lists = (sorted(_list(cfg, "k_list", _integer)), sorted(_list(cfg, "mu_list")), sorted(_list(cfg, "p_beta_grid")))
+    return (*lists, _number(cfg, "s_alpha", 100.0), _number(cfg, "s_gamma", 1.0))
+
+
 def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = sorted(_list(cfg, "k_list", _integer))
-    mu_list = sorted(_list(cfg, "mu_list"))
-    p_grid = sorted(_list(cfg, "p_beta_grid"))
-    s_alpha = _number(cfg, "s_alpha", 100.0)
-    s_gamma = _number(cfg, "s_gamma", 1.0)
+    k_list, mu_list, p_grid, s_alpha, s_gamma = _grid(cfg)
     n_points = _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2)
     path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
@@ -170,11 +177,7 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
 
 def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list = sorted(_list(cfg, "k_list", _integer))
-    mu_list = sorted(_list(cfg, "mu_list"))
-    p_grid = sorted(_list(cfg, "p_beta_grid"))
-    s_alpha = _number(cfg, "s_alpha", 100.0)
-    s_gamma = _number(cfg, "s_gamma", 1.0)
+    k_list, mu_list, p_grid, s_alpha, s_gamma = _grid(cfg)
     switch_tol = _number(cfg, "switch_tol", 1e-6)
     path = _path(cfg, "output_path", "bias_curve.csv", out_dir)
 
@@ -249,11 +252,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 except (TrainingDivergedError, ValueError) as exc:
                     record["error"] = str(exc)
                 else:
-                    record.update(json.loads(report.to_json()))
-                    record["final_loss"] = _round15(record["final_loss"])
-                    record["per_region_pred"] = [_round15(p) for p in record["per_region_pred"]]
-                    record["bias_soft"] = _round15(record["bias_soft"])
-                    record["bias_hard"] = _round15(record["bias_hard"])
+                    record.update(_rounded(json.loads(report.to_json())))
                     cell_biases_soft.append(report.bias_soft)
                     cell_biases_hard.append(report.bias_hard)
                 report_lines.append(json.dumps(record, sort_keys=True))
@@ -316,9 +315,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     fit = fit_calibration(pred[train_mask], true[train_mask])
     corrected = apply_calibration(fit, pred)
 
-    fit_obj = json.loads(fit.to_json())
-    fit_obj = {k: (_round15(v) if isinstance(v, float) else v) for k, v in fit_obj.items()}
-    _write_json(fit_path, fit_obj)
+    _write_json(fit_path, _rounded(json.loads(fit.to_json())))
 
     rows = [[t, p, s, c] for t, p, s, c in zip(true, pred, split, corrected)]
     _write_csv(corrected_path, ["true_volume", "pred_volume", "split", "corrected_volume"], rows)
@@ -344,9 +341,7 @@ def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
         a = np.array(_list(cfg, "a"))
         b = np.array(_list(cfg, "b"))
     result = bootstrap_paired(a, b, n_resamples=n_resamples, seed=seed)
-    obj = json.loads(result.to_json())
-    obj = {k: (_round15(v) if isinstance(v, float) else v) for k, v in obj.items()}
-    _write_json(path, obj)
+    _write_json(path, _rounded(json.loads(result.to_json())))
 
 
 _COMMANDS = {

@@ -81,6 +81,13 @@ class RegionModel:
         return len(self.regions)
 
 
+def _json_number(value, cast=float):
+    """``cast(value)`` for a JSON number; refuses the strings and booleans ``float`` and ``int`` accept."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"{value!r} is not a number")
+    return cast(value)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Parameters of the canonical background / uncertain / foreground scenario.
@@ -129,11 +136,11 @@ class ScenarioSpec:
         if missing:
             raise ValueError(f"scenario object is missing keys: {sorted(missing)}")
         return cls(
-            s_alpha=float(obj["s_alpha"]),
-            s_gamma=float(obj["s_gamma"]),
-            mu=float(obj["mu"]),
-            k_regions=obj["k_regions"],
-            p_beta=float(obj["p_beta"]),
+            s_alpha=_json_number(obj["s_alpha"]),
+            s_gamma=_json_number(obj["s_gamma"]),
+            mu=_json_number(obj["mu"]),
+            k_regions=_json_number(obj["k_regions"], lambda k: k),  # __post_init__ refuses a fraction
+            p_beta=_json_number(obj["p_beta"]),
         )
 
 

@@ -53,13 +53,11 @@ class TrainingDivergedError(RuntimeError):
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: ``exp`` only ever sees -|z|."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -286,14 +284,12 @@ def _objective(loss_kind, configs, n, counts, volumes):
         return configs @ (volumes * y), target + float(volumes @ y)
 
     def grad_w(y):
-        # dSD/dy_r per configuration, 0 where the configuration's ratio is
-        # pinned to 0, then through the sigmoid and the region volume
+        # sum_i weights_i * dSD_i/dy = -2 * sum_i a_i * (configs_i - I_i / D_i) with a = weights / D,
+        # where D_i = 0 (ratio pinned to 0) drops out; then through the sigmoid and the region volume
         inter, denom = terms(y)
-        ok = denom > 0.0
-        d2 = np.where(ok, denom, 1.0) ** 2
-        g = -2.0 * (configs * denom[:, None] - inter[:, None]) / d2[:, None]
-        g[~ok] = 0.0
-        return (weights @ g) * y * (1.0 - y) * volumes
+        denom = np.where(denom > 0.0, denom, np.inf)
+        a = weights / denom
+        return -2.0 * (a @ configs - a @ (inter / denom)) * y * (1.0 - y) * volumes
 
     return lambda y: float(weights @ _sd_ratio(*terms(y))), grad_w
 
@@ -315,42 +311,35 @@ def _fit(
     max_epochs: int,
     patience: int,
     init: ToyModel | None = None,
-) -> tuple[np.ndarray, float, int, bool, float]:
+) -> tuple[np.ndarray, float, int, bool, float, np.ndarray]:
     """Deterministic full-batch adaptive-moment descent on the compact form.
 
-    The raw batch gradients scale each region by its pixel share, which
-    would stall small regions; per-parameter moment normalization makes
-    every logit move at a comparable rate without touching the stationary
-    points. The learning rate is divided by five for every ``patience``
-    epochs without validation improvement and the run stops after two such
-    windows. The final parameters are returned: under deterministic
-    full-batch descent the last iterate is the most-trained model, and
-    selecting an earlier snapshot by validation loss would drag the
-    predictions toward the validation split's label frequencies.
+    One parameter vector theta = (region weights, shared bias) takes every
+    step; the bias gradient is the sum of the weight gradients. The raw
+    batch gradients scale each region by its pixel share, which would stall
+    small regions; per-parameter moment normalization makes every logit
+    move at a comparable rate without touching the stationary points. The
+    learning rate is divided by five for every ``patience`` epochs without
+    validation improvement and the run stops after two such windows. The
+    last iterate and its prediction are returned: under deterministic
+    full-batch descent it is the most-trained model, and selecting an
+    earlier snapshot by validation loss would drag the predictions toward
+    the validation split's label frequencies.
     """
     counts = counts.astype(float)
     volumes = counts / pixels_per_unit_volume
     _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), counts, volumes)
     val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
 
-    if init is None:
-        w = np.zeros_like(counts)
-        b = 0.0
-    else:
-        if init.weights.size != counts.size:
-            raise ValueError("warm-start model has the wrong number of regions")
-        w = init.weights.copy()
-        b = float(init.bias)
-    m1 = np.zeros(counts.size + 1)
-    m2 = np.zeros(counts.size + 1)
+    theta = np.zeros(counts.size + 1) if init is None else np.append(init.weights, init.bias)
+    if theta.size != counts.size + 1:
+        raise ValueError("warm-start model has the wrong number of regions")
+    m1 = m2 = np.zeros_like(theta)
     best_val = np.inf
     since_improvement = 0
-    cur_lr = lr
-    stopped = False
     for epoch in range(1, max_epochs + 1):
-        y = sigmoid(w + b)
+        y = sigmoid(theta[:-1] + theta[-1])
         grad_w = grad_w_at(y)
-        grad_b = float(grad_w.sum())
         val_loss = val_loss_at(y)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(
@@ -362,19 +351,19 @@ def _fit(
         else:
             since_improvement += 1
             if since_improvement % patience == 0:
-                cur_lr /= 5.0
+                lr /= 5.0
             if since_improvement >= 2 * patience:
-                stopped = True
                 break
-        g = np.append(grad_w, grad_b)
+        g = np.append(grad_w, grad_w.sum())
         m1 = _ADAM_B1 * m1 + (1.0 - _ADAM_B1) * g
         m2 = _ADAM_B2 * m2 + (1.0 - _ADAM_B2) * g * g
         hat1 = m1 / (1.0 - _ADAM_B1**epoch)
         hat2 = m2 / (1.0 - _ADAM_B2**epoch)
-        step = cur_lr * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
-        w = w - step[:-1]
-        b = b - float(step[-1])
-    return w, b, epoch, stopped, val_loss_at(sigmoid(w + b))
+        theta = theta - lr * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
+    # only the plateau rule leaves the loop with a full second window
+    stopped = since_improvement >= 2 * patience
+    y = sigmoid(theta[:-1] + theta[-1])
+    return theta[:-1], float(theta[-1]), epoch, stopped, val_loss_at(y), y
 
 
 def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -422,7 +411,7 @@ def train(
     i_train, i_val, i_test = _split_indices(dataset.n_images, seed)
     if i_test.size == 0:
         raise ValueError("dataset too small to hold out test images")
-    w, b, epochs, converged, final_loss = _fit(
+    w, b, epochs, converged, final_loss, pred = _fit(
         dataset.region_pixel_counts,
         dataset.pixels_per_unit_volume,
         dataset.labels[i_train],
@@ -433,7 +422,6 @@ def train(
         patience,
         init=init,
     )
-    pred = sigmoid(w + b)
     bias_soft, bias_hard = _volume_biases(pred, dataset.region_volumes, dataset.labels[i_test])
     return TrainReport(
         loss_kind=loss_kind,
@@ -443,7 +431,7 @@ def train(
         converged=converged,
         bias_soft=bias_soft,
         bias_hard=bias_hard,
-        model=ToyModel(w, float(b)),
+        model=ToyModel(w, b),
     )
 
 

@@ -216,6 +216,11 @@ class TestBootstrapCommand:
         result = json.loads((tmp_path / "bootstrap.json").read_text())
         assert result["n_resamples"] == 2000
 
+    def test_exponent_notation_integer(self, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"a": [1, 2, 3, 4], "b": [0, 1, 2, 3], "n_resamples": 1e4}')
+        assert run(["bootstrap", "--config", tmp_path / "cfg.json", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "bootstrap.json").read_text())["n_resamples"] == 10000
+
 
 class TestDeterminismAndErrors:
     SCENARIO = TestTrainToyCommand.CONFIG["scenarios"][0]
@@ -279,6 +284,15 @@ class TestDeterminismAndErrors:
             # NaN fails every ordered comparison, so it must be refused, not compared
             ("bias-curve", {"k_list": [4], "mu_list": [4.0], "p_beta_grid": [0.5], "switch_tol": math.nan}),
             ("bootstrap", {"a": [1.0, math.nan, 2.0], "b": [0.0, 0.0, 0.0]}),
+            # numbers must be JSON numbers: quoted numbers and booleans are refused
+            ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_alpha": "100"}),
+            ("risk-curve", {"k_list": ["4"], "mu_list": [1.0], "p_beta_grid": [0.5]}),
+            ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": "3"}),
+            ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [True]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_alpha": "10"}]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "k_regions": True}]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": True}),
+            ("bootstrap", {"a": ["1", 2], "b": [0, 0]}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):

@@ -170,6 +170,14 @@ class TestScenarioJson:
         assert spec.k_regions == 4 and isinstance(spec.k_regions, int)
         assert spec.to_json() == ScenarioSpec.from_dict({**obj, "k_regions": 4}).to_json()
 
+    @pytest.mark.parametrize(
+        "key, value", [("s_alpha", "100"), ("s_alpha", True), ("mu", "1.0"), ("p_beta", False), ("k_regions", True)]
+    )
+    def test_from_dict_refuses_strings_and_booleans(self, key, value):
+        obj = {"s_alpha": 100.0, "s_gamma": 1.0, "mu": 1.0, "k_regions": 4, "p_beta": 0.5}
+        with pytest.raises(ValueError, match="not a number"):
+            ScenarioSpec.from_dict({**obj, key: value})
+
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec.from_json('{"s_alpha": 1, "s_gamma": 1, "mu": 1, "k_regions": 1}')

@@ -252,6 +252,73 @@ region_rows = st.tuples(
 )
 
 
+def masked_sigmoid(z):
+    """The logistic function evaluated branch by branch on a mask of z >= 0."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_identical_to_masked_form(self):
+        z = np.concatenate(
+            [
+                [0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan],
+                *(np.random.default_rng(41).normal(scale=scale, size=20000) for scale in (1.0, 30.0, 800.0)),
+            ]
+        )
+        got, want = sigmoid(z), masked_sigmoid(z)
+        # same bits wherever there is a number; NaN stays NaN (its sign bit means nothing)
+        number = ~np.isnan(want)
+        assert got[number].tobytes() == want[number].tobytes()
+        assert np.isnan(got[~number]).all()
+
+    @pytest.mark.parametrize("z", [0.0, -0.0, -3.5, 745.0, -1000.0, np.inf, np.nan])
+    def test_zero_d_input_gives_zero_d_array(self, z):
+        got, want = sigmoid(z), masked_sigmoid(z)
+        assert isinstance(got, np.ndarray) and got.ndim == 0
+        assert got.tobytes() == want.tobytes() or np.isnan(got) and np.isnan(want)
+
+
+def per_configuration_sd_grad_w(configs, n, volumes, y):
+    """The trainer's soft-Dice weight gradient summed configuration by configuration:
+    weights_i * -2 * (configs_i * D_i - I_i) / D_i^2, and 0 where D_i = 0."""
+    total = np.zeros_like(y)
+    for labels, weight in zip(configs, n / n.sum()):
+        inter = labels @ (volumes * y)
+        denom = labels @ volumes + volumes @ y
+        if denom > 0.0:
+            total += weight * -2.0 * (labels * denom - inter) / denom**2
+    return total * y * (1.0 - y) * volumes
+
+
+@st.composite
+def sd_supports(draw):
+    """(configs, counts, volumes, predictions) with zero volumes and zero predictions, so D = 0 occurs."""
+    n_regions = draw(st.integers(1, 6))
+    volumes = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=n_regions, max_size=n_regions))
+    y = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=n_regions, max_size=n_regions))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n_regions, max_size=n_regions), min_size=1, max_size=8))
+    n = draw(st.lists(st.integers(1, 50), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=float), np.array(n), np.array(volumes), np.array(y)
+
+
+class TestSdGradientIsRankOne:
+    # D = 0 needs every region of positive volume at y = 0, where the sigmoid
+    # slope is 0 as well: the gradient there must be exactly 0, never 0/0
+    @settings(deadline=None, max_examples=200)
+    @given(sd_supports())
+    def test_matches_the_per_configuration_formula(self, support):
+        configs, n, volumes, y = support
+        _, grad_w_at = _objective("sd", configs, n, volumes, volumes)
+        want = per_configuration_sd_grad_w(configs, n, volumes, y)
+        assert np.abs(grad_w_at(y) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 class TestCompactLossesAreExpectedLosses:
     """The trainer's compact losses are the exact expected losses of
     :mod:`volbias.risk`, taken under the label distribution they are fed."""
