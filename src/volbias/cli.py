@@ -2,8 +2,9 @@
 
 Every subcommand is a pure function of its JSON config file and the --seed
 flag: rerunning with the same inputs reproduces the output files byte for
-byte. Numeric fields are written with 15 significant digits and files are
-written atomically (temp file, then rename).
+byte. Files are written atomically (temp file, then rename). A CSV cell
+holds text verbatim, nothing for a missing value, and a number at 15
+significant digits, so an integer has no decimal point.
 
 Subcommands:
   risk-curve   expected CE and SD losses over a prediction grid
@@ -20,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from math import ceil
 from pathlib import Path
 
@@ -34,14 +36,13 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
-    """Render a CSV cell: numbers at 15 significant digits, text verbatim."""
-    if isinstance(x, (str, np.str_)):
-        return str(x)
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.15g}"
+    """Render a CSV cell: text verbatim, None empty, a number at 15 significant digits.
+
+    ``.15g`` writes an integer below 10**15 exactly and without a decimal point.
+    """
+    if isinstance(x, str):
+        return x
+    return "" if x is None else f"{x:.15g}"
 
 
 def _rounded(obj):
@@ -62,7 +63,7 @@ def _atomic_write(path: Path, text: str):
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) if v is not None else "" for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -235,7 +236,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
             for rep in range(n_seeds):
                 data_seed, split_seed = _cell_seed((seed, si, li, rep), 2)
                 record = {
-                    "scenario": json.loads(spec.to_json()),
+                    "scenario": asdict(spec),
                     "loss_kind": loss_kind,
                     "replicate": rep,
                 }
@@ -315,7 +316,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     fit = fit_calibration(pred[train_mask], true[train_mask])
     corrected = apply_calibration(fit, pred)
 
-    _write_json(fit_path, _rounded(json.loads(fit.to_json())))
+    _write_json(fit_path, _rounded(asdict(fit)))
 
     rows = [[t, p, s, c] for t, p, s, c in zip(true, pred, split, corrected)]
     _write_csv(corrected_path, ["true_volume", "pred_volume", "split", "corrected_volume"], rows)
@@ -341,7 +342,7 @@ def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
         a = np.array(_list(cfg, "a"))
         b = np.array(_list(cfg, "b"))
     result = bootstrap_paired(a, b, n_resamples=n_resamples, seed=seed)
-    _write_json(path, _rounded(json.loads(result.to_json())))
+    _write_json(path, _rounded(asdict(result)))
 
 
 _COMMANDS = {

@@ -15,7 +15,7 @@ one certain foreground region (volume ``s_gamma``, probability 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -51,21 +51,18 @@ class Region:
 
 @dataclass(frozen=True)
 class RegionModel:
-    """An ordered collection of independent regions plus the voxel volume.
+    """An ordered collection of independent regions.
 
-    Volumes default to dimensionless units (voxel_volume = 1.0) so that
-    results are reported relative to the certain-foreground volume.
+    Volumes are dimensionless, so results read relative to the
+    certain-foreground volume.
     """
 
     regions: tuple[Region, ...]
-    voxel_volume: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
         if len(self.regions) == 0:
             raise ValueError("a region model needs at least one region")
-        if not np.isfinite(self.voxel_volume) or self.voxel_volume <= 0:
-            raise ValueError(f"voxel volume must be finite and > 0, got {self.voxel_volume}")
         if not 0 < sum(r.volume for r in self.regions) < np.inf:
             raise ValueError("total volume must be positive and finite")
 
@@ -113,15 +110,7 @@ class ScenarioSpec:
             raise ValueError(f"p_beta must lie in [0, 1], got {self.p_beta}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "s_alpha": self.s_alpha,
-                "s_gamma": self.s_gamma,
-                "mu": self.mu,
-                "k_regions": self.k_regions,
-                "p_beta": self.p_beta,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

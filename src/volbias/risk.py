@@ -166,7 +166,7 @@ def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     """
     q = _prediction_grid(p_tilde)
     k, volume = spec.k_regions, spec.mu * spec.s_gamma / spec.k_regions
-    pred_sum = spec.mu * spec.s_gamma * q + spec.s_gamma
+    pred_sum = k * volume * q + spec.s_gamma  # K·volume, as in the label volumes: a certain p_beta = q scores 0
     if 0.0 < spec.p_beta < 1.0:
         group = (_binomial_log_weights(k, spec.p_beta)[0], volume, q)
         return _expected_sd([group], spec.s_gamma, spec.s_gamma, pred_sum)
@@ -192,7 +192,7 @@ def _expected_sd(groups, label_volume: float, overlap, pred_sum) -> np.ndarray:
 
     target = target[:, None] + pred_sum  # the denominators; rebinding frees the label volumes
     sd = _sd_ratio(inter, target)  # before exp(logw): one array fewer alive at the peak
-    return np.maximum(np.exp(logw) @ sd, 0.0)  # E[SD] >= 0; a perfect prediction can round to -2e-16
+    return np.maximum(np.exp(logw) @ sd, 0.0)  # E[SD] >= 0, but 1 - 2I/D can round below 0
 
 
 def _prediction_grid(p_tilde) -> np.ndarray:

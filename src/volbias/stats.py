@@ -12,7 +12,7 @@ large structures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,15 +50,7 @@ class BootstrapResult:
     significant: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_diff": self.mean_diff,
-                "p_greater": self.p_greater,
-                "p_smaller": self.p_smaller,
-                "n_resamples": self.n_resamples,
-                "significant": self.significant,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -76,15 +68,7 @@ class CalibrationFit:
     residual_slope: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "n_points": self.n_points,
-                "residual_mean": self.residual_mean,
-                "residual_slope": self.residual_slope,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)

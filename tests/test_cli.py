@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volbias import cli
+from volbias import BootstrapResult, CalibrationFit, ScenarioSpec, cli
 from volbias.cli import main
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -30,6 +30,40 @@ def read_rows(path: Path) -> list[dict]:
 
 def run(args) -> int:
     return main([str(a) for a in args])
+
+
+class TestEncoding:
+    @pytest.mark.parametrize(
+        "cell, text",
+        [
+            (None, ""),
+            ("sd", "sd"),
+            (np.str_("val"), "val"),
+            (2000, "2000"),
+            (np.int64(7), "7"),
+            (0.1 + 0.2, "0.3"),
+            (1 / 3, "0.333333333333333"),
+            (np.float64(2 / 3), f"{2 / 3:.15g}"),
+        ],
+    )
+    def test_csv_cell(self, cell, text):
+        assert cli._fmt(cell) == text
+
+    def test_to_json_strings_are_pinned(self):
+        # the exact strings, key order included, that the hand-written field lists produced
+        spec = ScenarioSpec(s_alpha=100.0, s_gamma=1.0, mu=0.1 + 0.2, k_regions=4, p_beta=0.25)
+        boot = BootstrapResult(mean_diff=-0.5, p_greater=1 / 3, p_smaller=1e-4, n_resamples=10000, significant=True)
+        fit = CalibrationFit(slope=2.0, intercept=-0.0, n_points=3, residual_mean=1e-17, residual_slope=0.0)
+        assert spec.to_json() == (
+            '{"s_alpha": 100.0, "s_gamma": 1.0, "mu": 0.30000000000000004, "k_regions": 4, "p_beta": 0.25}'
+        )
+        assert boot.to_json() == (
+            '{"mean_diff": -0.5, "p_greater": 0.3333333333333333, "p_smaller": 0.0001, '
+            '"n_resamples": 10000, "significant": true}'
+        )
+        assert fit.to_json() == (
+            '{"slope": 2.0, "intercept": -0.0, "n_points": 3, "residual_mean": 1e-17, "residual_slope": 0.0}'
+        )
 
 
 class TestRiskCurveCommand:

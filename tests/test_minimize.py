@@ -212,6 +212,14 @@ class TestSwitchPoint:
         ends = [sd_binomial_curve(scenario(s_alpha, s_gamma, mu, k, p), (0.0, 1.0)) for p in np.linspace(0.0, 1.0, 201)]
         assert_one_sign_change_down(np.array([at_1 - at_0 for at_0, at_1 in ends]))
 
+    @settings(deadline=None, max_examples=30)
+    @given(k=st.integers(1, 127), mu=st.floats(-2.0, 2.0).map(lambda e: 10.0**e), factor=st.floats(1.0, 2.0))
+    def test_switch_point_does_not_rise_with_k_or_mu(self, k, mu, factor):
+        tol = 1e-10
+        star = find_switch_point(k, mu, tol=tol).p_star
+        assert find_switch_point(k + 1, mu, tol=tol).p_star <= star + 2 * tol
+        assert find_switch_point(k, mu * factor, tol=tol).p_star <= star + 2 * tol
+
     def test_switch_brackets_the_argmin_flip(self):
         sw = find_switch_point(4, 4.0, tol=1e-9)
         below = sd_minimizer(scenario(100, 1, 4.0, 4, sw.p_star - 1e-3))

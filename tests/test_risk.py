@@ -161,6 +161,9 @@ class TestExpectedSdBinomial:
     def test_certain_scenarios_perfectly_predicted(self):
         assert expected_sd_binomial(scenario(100, 1, 2.0, 4, 0.0), 0.0).value == pytest.approx(0.0, abs=1e-12)
         assert expected_sd_binomial(scenario(100, 1, 2.0, 4, 1.0), 1.0).value == pytest.approx(0.0, abs=1e-12)
+        # the predicted volume K·(µ·s_gamma/K) equals the label volume to the bit, not only to an ulp
+        assert expected_sd_binomial(scenario(100, 0.3, 0.3, 11, 1.0), 1.0).value == 0.0
+        assert expected_sd_binomial(scenario(100, 3.0, 7.7, 23, 1.0), 1.0).value == 0.0
 
     def test_agrees_with_exhaustive_on_benchmark_grid(self):
         qs = np.linspace(0, 1, 101)
