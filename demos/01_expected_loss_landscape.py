@@ -10,14 +10,15 @@ endpoints.
 
 import numpy as np
 
-from volbias import ScenarioSpec, risk_curve
+from volbias import ScenarioSpec, ce_curve, sd_binomial_curve
 
 S_ALPHA, S_GAMMA = 100.0, 1.0
+QS = np.linspace(0.0, 1.0, 1001)
 
 
-def describe(curve):
-    i = int(np.argmin(curve.expected_loss))
-    return curve.p_tilde[i], curve.expected_loss[i]
+def describe(losses):
+    i = int(np.argmin(losses))
+    return QS[i], losses[i]
 
 
 def main():
@@ -29,10 +30,8 @@ def main():
             print(f"--- K={k} uncertain regions, volume ratio mu={mu} ---")
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
                 spec = ScenarioSpec(S_ALPHA, S_GAMMA, mu, k, p)
-                sd = risk_curve(spec, "sd", 1001)
-                ce = risk_curve(spec, "ce", 1001)
-                q_sd, v_sd = describe(sd)
-                q_ce, v_ce = describe(ce)
+                q_sd, v_sd = describe(sd_binomial_curve(spec, QS))
+                q_ce, v_ce = describe(ce_curve(spec, QS))
                 print(
                     f"  p={p:4.2f}:  SD argmin at q={q_sd:5.3f} (loss {v_sd:.4f})"
                     f"   CE argmin at q={q_ce:5.3f} (loss {v_ce:.4f})"

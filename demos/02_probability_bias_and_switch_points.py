@@ -17,7 +17,7 @@ def main():
     print("above it over-estimates (q=1).\n")
     print("          mu=0.25     mu=1      mu=4")
     for k in (1, 4, 16):
-        stars = [find_switch_point(k, mu, tol=1e-9).p_star for mu in (0.25, 1.0, 4.0)]
+        stars = [find_switch_point(k, mu, tol=1e-9) for mu in (0.25, 1.0, 4.0)]
         print(f"  K={k:2d}   " + "   ".join(f"{s:.5f}" for s in stars))
     print()
     print("With one uncertain region the flip is exactly at 0.5; splitting the")

@@ -21,13 +21,10 @@ from .losses import (
 )
 from .minimize import (
     BiasPoint,
-    RiskCurve,
     SdMinimum,
-    SwitchPoint,
     bias_curve,
     ce_minimizer,
     find_switch_point,
-    risk_curve,
     sd_minimizer,
 )
 from .regions import (

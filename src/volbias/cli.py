@@ -22,13 +22,14 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from math import ceil
+from math import ceil, inf
 from pathlib import Path
 
 import numpy as np
 
-from .minimize import bias_curve, find_switch_point, risk_curve
-from .regions import ScenarioSpec, _json_number, expand_scenario
+from .minimize import bias_curve, find_switch_point
+from .regions import RegionModel, ScenarioSpec, _json_number, expand_scenario
+from .risk import ce_curve, sd_binomial_curve
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
 from .trainer import DEFAULT_LR, TrainingDivergedError, generate_dataset, train
 
@@ -162,7 +163,7 @@ def _grid(cfg: dict) -> tuple[list[int], list[float], list[float], float, float]
 
 def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     k_list, mu_list, p_grid, s_alpha, s_gamma = _grid(cfg)
-    n_points = _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2)
+    qs = np.linspace(0.0, 1.0, _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2))
     path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
     rows = []
@@ -170,9 +171,7 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
         for mu in mu_list:
             for p in p_grid:
                 spec = ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
-                sd = risk_curve(spec, "sd", n_points)
-                ce = risk_curve(spec, "ce", n_points)
-                for q, v_sd, v_ce in zip(sd.p_tilde, sd.expected_loss, ce.expected_loss):
+                for q, v_sd, v_ce in zip(qs, sd_binomial_curve(spec, qs), ce_curve(spec, qs)):
                     rows.append([k, mu, p, q, v_sd, v_ce])
     _write_csv(path, ["k", "mu", "p_beta", "p_tilde", "expected_sd", "expected_ce"], rows)
 
@@ -186,9 +185,8 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     for k in k_list:
         for mu in mu_list:
             switch = find_switch_point(k, mu, tol=switch_tol, s_alpha=s_alpha, s_gamma=s_gamma)
-            points = bias_curve(k, mu, p_grid, s_alpha=s_alpha, s_gamma=s_gamma)
-            for pt in points:
-                rows.append([k, mu, pt.p_beta, pt.p_tilde_opt, pt.prob_error, pt.volume_bias, switch.p_star])
+            for pt in bias_curve(k, mu, p_grid, s_alpha=s_alpha, s_gamma=s_gamma):
+                rows.append([k, mu, pt.p_beta, pt.p_tilde_opt, pt.prob_error, pt.volume_bias, switch])
     _write_csv(
         path,
         ["k", "mu", "p_beta", "p_tilde_opt", "prob_error", "volume_bias", "switch_point"],
@@ -196,15 +194,18 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     )
 
 
-def _auto_resolution(spec: ScenarioSpec) -> int:
-    volumes = [r.volume for r in expand_scenario(spec).regions if r.volume > 0]
-    return max(16, ceil(1.0 / min(volumes)))
+def _auto_resolution(model: RegionModel) -> int:
+    """Pixels per unit volume, at least 16, that give each nonempty region a pixel."""
+    scale = 1.0 / min(r.volume for r in model.regions if r.volume > 0)
+    if scale == inf:
+        raise ValueError("the smallest region needs more pixels per unit volume than a float holds")
+    return max(16, ceil(scale))
 
 
 def _scenario_id(spec: ScenarioSpec) -> str:
     return (
-        f"sa{spec.s_alpha:g}-sg{spec.s_gamma:g}-K{spec.k_regions}"
-        f"-mu{spec.mu:g}-pb{spec.p_beta:g}"
+        f"sa{_fmt(spec.s_alpha)}-sg{_fmt(spec.s_gamma)}-K{spec.k_regions}"
+        f"-mu{_fmt(spec.mu)}-pb{_fmt(spec.p_beta)}"
     )
 
 
@@ -229,7 +230,6 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     summary_rows = []
     for si, spec in enumerate(scenarios):
         model = expand_scenario(spec)
-        resolution = ppuv if ppuv is not None else _auto_resolution(spec)
         for li, loss_kind in enumerate(losses):
             cell_biases_soft = []
             cell_biases_hard = []
@@ -241,6 +241,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                     "replicate": rep,
                 }
                 try:
+                    resolution = ppuv if ppuv is not None else _auto_resolution(model)
                     dataset = generate_dataset(model, n_images, resolution, data_seed)
                     report = train(
                         dataset,
@@ -253,10 +254,10 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 except (TrainingDivergedError, ValueError) as exc:
                     record["error"] = str(exc)
                 else:
-                    record.update(_rounded(json.loads(report.to_json())))
+                    record.update(json.loads(report.to_json()))
                     cell_biases_soft.append(report.bias_soft)
                     cell_biases_hard.append(report.bias_hard)
-                report_lines.append(json.dumps(record, sort_keys=True))
+                report_lines.append(json.dumps(_rounded(record), sort_keys=True))
             if len(cell_biases_soft) >= 2:
                 boot = bootstrap_paired(
                     np.array(cell_biases_soft),

@@ -36,45 +36,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .regions import RegionModel, ScenarioSpec
-from .risk import PredictionAssignment, ce_curve, sd_binomial_curve
+from .risk import PredictionAssignment, sd_binomial_curve
 
 __all__ = [
-    "RiskCurve",
     "BiasPoint",
-    "SwitchPoint",
     "SdMinimum",
     "ce_minimizer",
     "sd_minimizer",
-    "risk_curve",
     "bias_curve",
     "find_switch_point",
 ]
-
-@dataclass(frozen=True)
-class RiskCurve:
-    """Sampled expected loss as a function of the shared uncertain prediction."""
-
-    p_tilde: np.ndarray
-    expected_loss: np.ndarray
-    scenario: ScenarioSpec
-    loss_kind: str  # "ce" | "sd"
-
-    def __post_init__(self):
-        p = np.asarray(self.p_tilde, dtype=float)
-        v = np.asarray(self.expected_loss, dtype=float)
-        if p.shape != v.shape or p.ndim != 1:
-            raise ValueError("curve arrays must be one-dimensional and equally long")
-        if np.any(np.diff(p) <= 0):
-            raise ValueError("p_tilde grid must be strictly increasing")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("curve contains non-finite losses")
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.p_tilde.tolist(), self.expected_loss.tolist()))
 
 
 @dataclass(frozen=True)
@@ -85,21 +57,6 @@ class BiasPoint:
     p_tilde_opt: float
     prob_error: float  # p_tilde_opt - p_beta
     volume_bias: float  # mu * s_gamma * prob_error
-
-
-@dataclass(frozen=True)
-class SwitchPoint:
-    """True probability at which the soft-Dice optimum flips from 0 to 1.
-
-    ``p_star`` is None when the preference never changes sign on [0, 1]
-    (for instance when there is no uncertain volume at all).
-    """
-
-    p_star: float | None
-
-    @property
-    def found(self) -> bool:
-        return self.p_star is not None
 
 
 class SdMinimum(NamedTuple):
@@ -127,20 +84,6 @@ def sd_minimizer(spec: ScenarioSpec) -> SdMinimum:
     if abs(at_0 - at_1) <= 1e-12:
         return SdMinimum(0.0, at_0, True)
     return SdMinimum(0.0, at_0, False) if at_0 < at_1 else SdMinimum(1.0, at_1, False)
-
-
-def risk_curve(spec: ScenarioSpec, loss_kind: str, n_points: int) -> RiskCurve:
-    """Exact expected loss on a uniform grid of shared uncertain predictions."""
-    if n_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_points}")
-    qs = np.linspace(0.0, 1.0, n_points)
-    if loss_kind == "sd":
-        vals = sd_binomial_curve(spec, qs)
-    elif loss_kind == "ce":
-        vals = ce_curve(spec, qs)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")
-    return RiskCurve(qs, vals, spec, loss_kind)
 
 
 def _scenario(k: int, mu: float, p_beta: float, s_alpha: float, s_gamma: float) -> ScenarioSpec:
@@ -174,13 +117,13 @@ def find_switch_point(
     tol: float = 1e-6,
     s_alpha: float = 100.0,
     s_gamma: float = 1.0,
-) -> SwitchPoint:
+) -> float | None:
     """Bisect for the true probability where the endpoint preference flips.
 
     The bracketing function is the loss gap E[SD](q=1) - E[SD](q=0):
     positive means under-estimation (0 preferred), negative means
-    over-estimation. Returns a no-switch result if the gap never changes
-    sign on [0, 1].
+    over-estimation. Returns None if the gap never changes sign on [0, 1]
+    (for instance when there is no uncertain volume at all).
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -192,7 +135,7 @@ def find_switch_point(
     lo, hi = 0.0, 1.0
     g_lo, g_hi = gap(lo), gap(hi)
     if not (g_lo > 0.0 > g_hi):
-        return SwitchPoint(None)
+        return None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # the bracket no longer narrows in floating point
@@ -201,4 +144,4 @@ def find_switch_point(
             lo = mid
         else:
             hi = mid
-    return SwitchPoint(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)

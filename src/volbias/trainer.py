@@ -165,13 +165,20 @@ def generate_dataset(
 
     Each region is materialized as round(volume * pixels_per_unit_volume)
     pixels; each image draws one independent joint labeling. A region that
-    would round to zero pixels cannot be represented at this resolution.
+    would round to zero pixels, or to more than an int64 holds, cannot be
+    represented at this resolution.
     """
     if n_images < 1:
         raise ValueError("need at least one image")
     if pixels_per_unit_volume < 1:
         raise ValueError("pixels_per_unit_volume must be >= 1")
-    counts = np.array([round(r.volume * pixels_per_unit_volume) for r in model.regions], dtype=int)
+    try:
+        counts = np.array([round(r.volume * pixels_per_unit_volume) for r in model.regions], dtype=int)
+    except OverflowError:
+        raise ValueError(
+            f"region pixel counts overflow at {pixels_per_unit_volume} pixels per unit volume; "
+            f"decrease the resolution"
+        ) from None
     if np.any(counts == 0):
         bad = np.flatnonzero(counts == 0).tolist()
         raise ValueError(

@@ -123,7 +123,7 @@ def test_criterion_01_sd_argmin_is_binary_on_benchmark_grid():
 def test_criterion_02_single_region_bias_structure():
     for mu in MU_GRID:
         sw = find_switch_point(1, mu, tol=1e-6)
-        assert sw.found and abs(sw.p_star - 0.5) <= 1e-6
+        assert sw is not None and abs(sw - 0.5) <= 1e-6
 
     p_grid = [0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0]
     curves = {mu: bias_curve(1, mu, p_grid) for mu in MU_GRID}
@@ -140,7 +140,7 @@ def test_criterion_02_single_region_bias_structure():
 
 
 def test_criterion_03_multi_region_switch_points():
-    stars = {(k, mu): find_switch_point(k, mu, tol=1e-9).p_star for k in K_GRID for mu in MU_GRID}
+    stars = {(k, mu): find_switch_point(k, mu, tol=1e-9) for k in K_GRID for mu in MU_GRID}
     for mu in MU_GRID:
         assert stars[(16, mu)] <= stars[(4, mu)] <= 0.5
         assert abs(stars[(1, mu)] - 0.5) <= 1e-6

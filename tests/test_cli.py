@@ -162,6 +162,43 @@ class TestTrainToyCommand:
         lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
         assert all("error" in json.loads(line) for line in lines)
 
+    @pytest.mark.parametrize(
+        "scenario, ppuv",
+        [
+            ({"mu": 1e-20}, None),  # the automatic resolution asks for ~1e22 background pixels
+            ({"mu": 1e-320}, None),  # the automatic resolution itself is infinite
+            ({}, 10**400),  # no float holds volume x resolution
+        ],
+        ids=["auto-past-int64", "auto-infinite", "past-float"],
+    )
+    def test_pixel_count_overflow_is_a_cell_error(self, tmp_path, scenario, ppuv):
+        cfg_obj = {**self.CONFIG, "n_seeds": 1, "scenarios": [{**self.CONFIG["scenarios"][0], **scenario}]}
+        cfg_obj.pop("pixels_per_unit_volume")
+        if ppuv is not None:
+            cfg_obj["pixels_per_unit_volume"] = ppuv
+        cfg = write_config(tmp_path, "cfg.json", cfg_obj)
+        assert run(["train-toy", "--config", cfg, "--out", tmp_path]) == 0
+        lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
+        assert len(lines) == 2 and all("pixels per unit volume" in json.loads(line)["error"] for line in lines)
+        assert [row["bias_soft"] for row in read_rows(tmp_path / "train_summary.csv")] == ["", ""]
+
+    def test_artifacts_write_scenarios_at_15_digits(self, tmp_path):
+        base = {"s_alpha": 10, "s_gamma": 1, "mu": 0.1 + 0.2, "k_regions": 1}
+        cfg_obj = {
+            **self.CONFIG,
+            "scenarios": [{**base, "p_beta": 0.25}, {**base, "p_beta": 0.2500001}],
+            "losses": ["ce"],
+            "n_seeds": 1,
+            "max_epochs": 5,
+        }
+        cfg = write_config(tmp_path, "cfg.json", cfg_obj)
+        assert run(["train-toy", "--config", cfg, "--out", tmp_path]) == 0
+        lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
+        assert [json.loads(line)["scenario"]["mu"] for line in lines] == [0.3, 0.3]
+        assert "0.30000000000000004" not in "".join(lines)
+        ids = [row["scenario"] for row in read_rows(tmp_path / "train_summary.csv")]
+        assert ids == ["sa10-sg1-K1-mu0.3-pb0.25", "sa10-sg1-K1-mu0.3-pb0.2500001"]
+
 
 class TestCalibrateCommand:
     @staticmethod
@@ -327,6 +364,8 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "k_regions": True}]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": True}),
             ("bootstrap", {"a": ["1", 2], "b": [0, 0]}),
+            # the prediction grid needs both endpoints
+            ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": 1}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):

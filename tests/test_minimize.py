@@ -13,7 +13,6 @@ from volbias import (
     expected_ce,
     expected_sd_binomial,
     find_switch_point,
-    risk_curve,
     scenario_prediction,
     sd_binomial_curve,
     sd_minimizer,
@@ -117,26 +116,13 @@ class TestSdMinimizer:
 
 class TestRiskCurve:
     def test_sd_endpoints_at_half(self):
-        curve = risk_curve(scenario(100, 1, 1.0, 1, 0.5), "sd", 101)
-        assert curve.expected_loss[0] == pytest.approx(1 / 6, abs=1e-12)
-        assert curve.expected_loss[-1] == pytest.approx(1 / 6, abs=1e-12)
-
-    def test_ce_curve_strictly_convex(self):
-        curve = risk_curve(scenario(100, 1, 2.0, 3, 0.4), "ce", 201)
-        second = np.diff(curve.expected_loss, 2)
-        assert np.all(second > 0)
+        curve = sd_binomial_curve(scenario(100, 1, 1.0, 1, 0.5), np.linspace(0.0, 1.0, 101))
+        assert curve[0] == pytest.approx(1 / 6, abs=1e-12)
+        assert curve[-1] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_perfect_certain_prediction(self):
-        curve = risk_curve(scenario(100, 1, 0.25, 1, 1.0), "sd", 101)
-        assert curve.expected_loss[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_points_accessor_and_validation(self):
-        curve = risk_curve(scenario(100, 1, 1.0, 1, 0.5), "sd", 11)
-        assert len(curve.points) == 11
-        with pytest.raises(ValueError):
-            risk_curve(scenario(100, 1, 1.0, 1, 0.5), "sd", 1)
-        with pytest.raises(ValueError):
-            risk_curve(scenario(100, 1, 1.0, 1, 0.5), "dice", 11)
+        curve = sd_binomial_curve(scenario(100, 1, 0.25, 1, 1.0), np.linspace(0.0, 1.0, 101))
+        assert curve[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBiasCurve:
@@ -170,16 +156,16 @@ class TestSwitchPoint:
     def test_single_region_switches_at_half(self):
         for mu in (0.25, 1.0, 4.0):
             sw = find_switch_point(1, mu, tol=1e-9)
-            assert sw.found and abs(sw.p_star - 0.5) < 1e-8
+            assert sw is not None and abs(sw - 0.5) < 1e-8
 
     def test_multi_region_switch_below_half(self):
         sw4 = find_switch_point(4, 4.0, tol=1e-9)
         sw16 = find_switch_point(16, 4.0, tol=1e-9)
-        assert sw16.p_star <= sw4.p_star <= 0.5
+        assert sw16 <= sw4 <= 0.5
 
     def test_monotone_in_mu_for_multi_region(self):
         for k in (4, 16):
-            stars = [find_switch_point(k, mu, tol=1e-9).p_star for mu in (0.25, 1.0, 4.0)]
+            stars = [find_switch_point(k, mu, tol=1e-9) for mu in (0.25, 1.0, 4.0)]
             assert stars[2] <= stars[1] <= stars[0]
 
     def test_frozen_regression_values(self):
@@ -194,11 +180,11 @@ class TestSwitchPoint:
         }
         for (k, mu), p_star in expected.items():
             sw = find_switch_point(k, mu, tol=1e-9)
-            assert sw.p_star == pytest.approx(p_star, abs=1e-6)
+            assert sw == pytest.approx(p_star, abs=1e-6)
 
     def test_no_switch_without_uncertain_volume(self):
         sw = find_switch_point(1, 0.0, tol=1e-6)
-        assert not sw.found and sw.p_star is None
+        assert sw is None
 
     def test_rejects_nan_tolerance(self):
         # NaN compares false with everything: the bisection would stop at once and report 0.5
@@ -216,12 +202,12 @@ class TestSwitchPoint:
     @given(k=st.integers(1, 127), mu=st.floats(-2.0, 2.0).map(lambda e: 10.0**e), factor=st.floats(1.0, 2.0))
     def test_switch_point_does_not_rise_with_k_or_mu(self, k, mu, factor):
         tol = 1e-10
-        star = find_switch_point(k, mu, tol=tol).p_star
-        assert find_switch_point(k + 1, mu, tol=tol).p_star <= star + 2 * tol
-        assert find_switch_point(k, mu * factor, tol=tol).p_star <= star + 2 * tol
+        star = find_switch_point(k, mu, tol=tol)
+        assert find_switch_point(k + 1, mu, tol=tol) <= star + 2 * tol
+        assert find_switch_point(k, mu * factor, tol=tol) <= star + 2 * tol
 
     def test_switch_brackets_the_argmin_flip(self):
         sw = find_switch_point(4, 4.0, tol=1e-9)
-        below = sd_minimizer(scenario(100, 1, 4.0, 4, sw.p_star - 1e-3))
-        above = sd_minimizer(scenario(100, 1, 4.0, 4, sw.p_star + 1e-3))
+        below = sd_minimizer(scenario(100, 1, 4.0, 4, sw - 1e-3))
+        above = sd_minimizer(scenario(100, 1, 4.0, 4, sw + 1e-3))
         assert below.p_tilde_opt == 0.0 and above.p_tilde_opt == 1.0

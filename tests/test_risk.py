@@ -102,6 +102,10 @@ class TestExpectedCe:
             loop = [expected_ce(model, scenario_prediction(model, q)).value for q in qs]
             np.testing.assert_allclose(ce_curve(spec, qs), loop, rtol=1e-13, atol=0)
 
+    def test_curve_strictly_convex(self):
+        curve = ce_curve(scenario(100, 1, 2.0, 3, 0.4), np.linspace(0, 1, 201))
+        assert np.all(np.diff(curve, 2) > 0)
+
 
 class TestExpectedSdExhaustive:
     def test_two_branch_hand_enumeration(self):

@@ -88,6 +88,12 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="zero pixels"):
             generate_dataset(model, 5, 10, seed=0)
 
+    @pytest.mark.parametrize("ppuv", [10**20, 10**400], ids=["past-int64", "past-float"])
+    def test_pixel_count_overflow_raises(self, ppuv):
+        model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
+        with pytest.raises(ValueError, match="overflow"):
+            generate_dataset(model, 5, ppuv, seed=0)
+
     def test_deterministic_per_seed(self):
         model = expand_scenario(scenario(100, 1, 4.0, 4, 0.3))
         a = generate_dataset(model, 20, 10, seed=7)
