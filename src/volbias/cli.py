@@ -221,8 +221,8 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     ppuv = _number(cfg, "pixels_per_unit_volume", None, _integer, minimum=1)  # None: automatic per scenario
     n_resamples = _number(cfg, "n_resamples", 10000, _integer, minimum=1000)  # bootstrap_paired's floor
     lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
-    if not all(lr is None or lr > 0 for lr in lr_by_loss.values()):
-        raise CliError("train-toy learning rates lr_ce and lr_sd must be > 0")
+    if not all(lr is None or 0 < lr < inf for lr in lr_by_loss.values()):
+        raise CliError("train-toy learning rates lr_ce and lr_sd must be finite and > 0")
     reports_path = _path(cfg, "reports_path", "train_reports.jsonl", out_dir)
     summary_path = _path(cfg, "summary_path", "train_summary.csv", out_dir)
 

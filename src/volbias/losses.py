@@ -33,57 +33,55 @@ __all__ = [
 LOG_EPS = 1e-12
 
 
-def _as_map_arrays(values, weights) -> tuple[np.ndarray, np.ndarray]:
-    values = np.array(values, dtype=float)  # copy: maps own their storage
-    if values.ndim != 1:
-        raise ValueError("map values must be one-dimensional")
-    if weights is None:
-        weights = np.ones_like(values)
-    else:
-        weights = np.array(weights, dtype=float)
-    if weights.shape != values.shape:
-        raise ValueError(f"weights shape {weights.shape} does not match values shape {values.shape}")
-    if np.any(weights < 0):
-        raise ValueError("weights must be >= 0")
-    values.flags.writeable = False
-    weights.flags.writeable = False
-    return values, weights
+def _checked(values, name: str, valid, rule: str) -> np.ndarray:
+    """A read-only 1-D float copy of ``values``, each entry passing ``valid``, which NaN must fail."""
+    v = np.array(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if not valid(v).all():
+        raise ValueError(f"{name} must {rule}")
+    v.flags.writeable = False
+    return v
+
+
+def _probabilities(values, name: str = "probabilities") -> np.ndarray:
+    return _checked(values, name, lambda p: (p >= 0.0) & (p <= 1.0), "lie in [0, 1]")
+
+
+def _binary_labels(values) -> np.ndarray:
+    return _checked(values, "labels", lambda v: (v == 0.0) | (v == 1.0), "be 0 or 1")
 
 
 @dataclass(frozen=True)
-class SoftMap:
+class _Map:
+    """Checked values with one element weight each: finite and >= 0, 1.0 by default."""
+
+    values: np.ndarray
+    weights: np.ndarray = None
+
+    def __post_init__(self):
+        values = self._check(self.values)
+        weights = np.ones_like(values) if self.weights is None else self.weights
+        weights = _checked(weights, "weights", lambda w: (w >= 0.0) & (w < np.inf), "be finite and >= 0")
+        if weights.shape != values.shape:
+            raise ValueError(f"weights shape {weights.shape} does not match values shape {values.shape}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weights", weights)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
+class SoftMap(_Map):
     """Continuous foreground probabilities in [0, 1] with element weights."""
 
-    values: np.ndarray
-    weights: np.ndarray = None
-
-    def __post_init__(self):
-        values, weights = _as_map_arrays(self.values, self.weights)
-        if values.size and (values.min() < 0 or values.max() > 1):
-            raise ValueError("soft map values must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.values.size
+    _check = staticmethod(_probabilities)
 
 
-@dataclass(frozen=True)
-class HardMap:
+class HardMap(_Map):
     """Binary foreground labels with element weights."""
 
-    values: np.ndarray
-    weights: np.ndarray = None
-
-    def __post_init__(self):
-        values, weights = _as_map_arrays(self.values, self.weights)
-        if not np.all((values == 0) | (values == 1)):
-            raise ValueError("hard map values must be 0 or 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.values.size
+    _check = staticmethod(_binary_labels)
 
 
 @dataclass(frozen=True)
@@ -174,15 +172,15 @@ def volume_of(m: SoftMap | HardMap, voxel_volume: float = 1.0) -> float:
     For a soft map this is the expected-volume estimator implied by reading
     the values as foreground probabilities.
     """
-    if voxel_volume <= 0:
-        raise ValueError(f"voxel volume must be > 0, got {voxel_volume}")
+    if not 0.0 < voxel_volume < np.inf:
+        raise ValueError(f"voxel volume must be finite and > 0, got {voxel_volume}")
     return float(voxel_volume * (m.weights @ m.values))
 
 
 def volume_error_report(pred_vol: float, true_vol: float) -> VolumeErrorReport:
     """Summarize the error of a predicted volume against the true volume."""
-    if true_vol < 0:
-        raise ValueError(f"true volume must be >= 0, got {true_vol}")
+    if not (0.0 <= true_vol < np.inf and np.isfinite(pred_vol)):
+        raise ValueError(f"volumes must be finite and the true volume >= 0, got {pred_vol} and {true_vol}")
     delta = float(pred_vol - true_vol)
     if true_vol == 0.0:
         return VolumeErrorReport(delta, None, abs(delta), None)

@@ -29,6 +29,20 @@ variation-diminishing (Lorentz, Bernstein Polynomials): with z = p/(1-p),
 z^-m* (1-p)^-K gap = sum_m C(K, m) d_m z^(m - m*) decreases strictly in
 z, from + at p = 0 to - at p = 1. So the switch point exists and is
 unique, and the bracket test of ``find_switch_point`` is exact.
+
+Large K. At q = 0 and 1, SD depends only on the uncertain label volume x
+in [0, mu]: SD(x, 0) = x/(x + 2) is concave with |SD''| <= 1/2, and
+SD(x, 1) = (mu - x)/(x + 2 + mu) convex with SD'' <= 4(1 + mu)/(2 + mu)^3
+(both at x = 0). x has mean mu p and variance mu^2 p (1-p)/K <= mu^2/(4K),
+so by Taylor's theorem to second order the gap above, gap_K(p), exceeds
+its value g(p) at x = mu p by 0 to c/K, c = (1/2 + 4(1 + mu)/(2 + mu)^3)
+mu^2/8. g vanishes where mu p^2 + 2p - 1 = 0, at L(mu) = (sqrt(1 + mu)
+- 1)/mu, whatever s_alpha and s_gamma; it decreases and is convex, with
+g(1) = -mu/(2 + mu). With s = mu/((2 + mu)(1 - L)), its chord's slope
+from L to 1, g(L - d) >= s d and g(L + d) <= -s d; so at delta_K =
+c/(s K), g >= c/K at L - delta_K and g <= -c/K at L + delta_K. Hence
+gap_K >= g > 0 below L and gap_K(L + delta_K) <= 0: L < p*_K <= L +
+delta_K, and the switch point tends to L(mu) < 1/2 at rate 1/K.
 """
 
 from __future__ import annotations
@@ -71,7 +85,7 @@ def ce_minimizer(model: RegionModel) -> PredictionAssignment:
     The expected cross-entropy separates over regions and each term is
     minimized exactly at the region's true foreground probability.
     """
-    return PredictionAssignment(model.probabilities.copy())
+    return PredictionAssignment(model.probabilities)
 
 
 def sd_minimizer(spec: ScenarioSpec) -> SdMinimum:

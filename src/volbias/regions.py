@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .losses import _binary_labels
 from .rng import make_rng
 
 __all__ = [
@@ -140,10 +141,7 @@ class LabelConfiguration:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        if any(v not in (0, 1) for v in labels):
-            raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(_binary_labels(self.labels).astype(int).tolist()))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.labels, dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _ce_terms, _sd_ratio
+from .losses import _ce_terms, _probabilities, _sd_ratio
 from .regions import RegionModel, ScenarioSpec, expand_scenario
 
 __all__ = [
@@ -50,13 +50,7 @@ class PredictionAssignment:
     p_pred: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p_pred, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("prediction assignment must be one-dimensional")
-        if p.size and (p.min() < 0 or p.max() > 1):
-            raise ValueError("predicted probabilities must lie in [0, 1]")
-        p.flags.writeable = False
-        object.__setattr__(self, "p_pred", p)
+        object.__setattr__(self, "p_pred", _probabilities(self.p_pred, "predicted probabilities"))
 
     def __len__(self) -> int:
         return self.p_pred.size
@@ -116,7 +110,7 @@ def ce_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     The closed form of :func:`expected_ce` for the predictions
     (0, q, ..., q, 1), one column per entry q of ``p_tilde``.
     """
-    q = _prediction_grid(p_tilde)
+    q = _probabilities(p_tilde, "predictions")
     model = expand_scenario(spec)
     preds = np.vstack((np.zeros(q.size), np.broadcast_to(q, (len(model) - 2, q.size)), np.ones(q.size)))
     return model.volumes @ _ce_terms(model.probabilities[:, None], preds)
@@ -164,7 +158,7 @@ def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     entry q of ``p_tilde`` is evaluated in one matrix product. Background
     is predicted 0 and certain foreground 1, their risk-optimal values.
     """
-    q = _prediction_grid(p_tilde)
+    q = _probabilities(p_tilde, "predictions")
     k, volume = spec.k_regions, spec.mu * spec.s_gamma / spec.k_regions
     pred_sum = k * volume * q + spec.s_gamma  # K·volume, as in the label volumes: a certain p_beta = q scores 0
     if 0.0 < spec.p_beta < 1.0:
@@ -193,15 +187,6 @@ def _expected_sd(groups, label_volume: float, overlap, pred_sum) -> np.ndarray:
     target = target[:, None] + pred_sum  # the denominators; rebinding frees the label volumes
     sd = _sd_ratio(inter, target)  # before exp(logw): one array fewer alive at the peak
     return np.maximum(np.exp(logw) @ sd, 0.0)  # E[SD] >= 0, but 1 - 2I/D can round below 0
-
-
-def _prediction_grid(p_tilde) -> np.ndarray:
-    q = np.asarray(p_tilde, dtype=float)
-    if q.ndim != 1:
-        raise ValueError(f"predictions must be one-dimensional, got shape {q.shape}")
-    if not np.all((q >= 0.0) & (q <= 1.0)):
-        raise ValueError("predictions must lie in [0, 1]")
-    return q
 
 
 def _binomial_log_weights(k: int, p) -> np.ndarray:

@@ -79,6 +79,24 @@ class VolumeSpecificProfile:
     overall_mean_true: float
 
 
+def _paired(a, b, min_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as equally long 1-D float arrays of at least ``min_pairs`` pairs.
+
+    a - b is finite only when a, b and every difference are, so one test
+    refuses NaN, infinities and a pair like (1e308, -1e308).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("paired samples must be one-dimensional and equally long")
+    if a.size < min_pairs:
+        raise ValueError(f"need at least {min_pairs} pairs, got {a.size}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, not warned about
+        finite = np.isfinite(a - b).all()
+    if not finite:
+        raise ValueError("paired samples and their differences must be finite")
+    return a, b
+
+
 def bootstrap_paired(a, b, n_resamples: int = 10000, seed: int = 0) -> BootstrapResult:
     """Bootstrap test on the mean of paired differences a - b.
 
@@ -87,17 +105,10 @@ def bootstrap_paired(a, b, n_resamples: int = 10000, seed: int = 0) -> Bootstrap
     correction so a p-value is never exactly zero. Deterministic for a
     fixed seed, whatever the size of the chunks the resamples are drawn in.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("paired samples must be one-dimensional and equally long")
-    if a.size < 2:
-        raise ValueError("need at least two pairs")
+    a, b = _paired(a, b, 2)
     if n_resamples < 1000:
         raise ValueError("use at least 1000 resamples")
     d = a - b
-    if not np.isfinite(d).all():
-        raise ValueError("paired samples must be finite")
     rng = make_rng(seed)
     rows = max(1, _RESAMPLE_CHUNK // d.size)
     means = np.empty(n_resamples)
@@ -116,14 +127,7 @@ def bootstrap_paired(a, b, n_resamples: int = 10000, seed: int = 0) -> Bootstrap
 
 def fit_calibration(pred_volumes, true_volumes) -> CalibrationFit:
     """Fit the correction line mapping predicted volumes to true volumes."""
-    pred = np.asarray(pred_volumes, dtype=float)
-    true = np.asarray(true_volumes, dtype=float)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise ValueError("volume vectors must be one-dimensional and equally long")
-    if pred.size < 3:
-        raise ValueError("need at least three points to fit")
-    if not (np.isfinite(pred).all() and np.isfinite(true).all()):
-        raise ValueError("volumes must be finite")
+    pred, true = _paired(pred_volumes, true_volumes, 3)
     var = float(np.var(pred))
     if var == 0.0:
         raise ValueError("predicted volumes are all identical; cannot fit a slope")
@@ -147,7 +151,10 @@ def apply_calibration(fit: CalibrationFit, pred_volume, with_flag: bool = False)
     whether any clamping occurred (a boolean, or a boolean array for array
     input), distinguishing a clamped zero from a genuine zero.
     """
-    raw = fit.slope * np.asarray(pred_volume, dtype=float) + fit.intercept
+    pred_volume = np.asarray(pred_volume, dtype=float)
+    if not np.isfinite(pred_volume).all():
+        raise ValueError("predicted volumes must be finite")
+    raw = fit.slope * pred_volume + fit.intercept
     clamped = raw < 0.0
     corrected = np.where(clamped, 0.0, raw)
     if np.ndim(pred_volume) == 0:
@@ -163,12 +170,7 @@ def volume_specific_profile(pred_volumes, true_volumes) -> VolumeSpecificProfile
     when the count does not divide evenly the leading bins take one extra
     sample each.
     """
-    pred = np.asarray(pred_volumes, dtype=float)
-    true = np.asarray(true_volumes, dtype=float)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise ValueError("volume vectors must be one-dimensional and equally long")
-    if pred.size < 10:
-        raise ValueError("need at least ten points for a decile profile")
+    pred, true = _paired(pred_volumes, true_volumes, 10)
     bins = np.array_split(np.argsort(true, kind="stable"), 10)
     means = [(float(true[sel].mean()), float(pred[sel].mean())) for sel in bins]
     return VolumeSpecificProfile(tuple(means), float(true.mean()))

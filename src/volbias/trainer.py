@@ -95,7 +95,7 @@ class ToyDataset:
 
     @property
     def pixels_per_image(self) -> int:
-        return int(self.region_pixel_counts.sum())
+        return sum(self.region_pixel_counts.tolist())  # Python ints: an int64 sum can wrap
 
     @property
     def region_volumes(self) -> np.ndarray:
@@ -409,8 +409,8 @@ def train(
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")
     if lr is None:
         lr = DEFAULT_LR[loss_kind]
-    if lr <= 0:
-        raise ValueError("learning rate must be > 0")
+    if not 0.0 < lr < np.inf:
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     if max_epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
     if patience < 1:

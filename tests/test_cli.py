@@ -366,6 +366,8 @@ class TestDeterminismAndErrors:
             ("bootstrap", {"a": ["1", 2], "b": [0, 0]}),
             # the prediction grid needs both endpoints
             ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": 1}),
+            # JSON's Infinity passes a bare > 0 test
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_sd": math.inf}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):

@@ -18,6 +18,32 @@ from volbias import (
 )
 
 
+class TestMapInputs:
+    @pytest.mark.parametrize("values", [[0.2, math.nan], [0.2, 1.5], [-0.1], [[0.5]]])
+    def test_soft_values_must_be_probabilities(self, values):
+        with pytest.raises(ValueError):
+            SoftMap(values)
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan], [0.5], [2.0], [-1.0], [[1.0]]])
+    def test_hard_values_must_be_binary(self, values):
+        with pytest.raises(ValueError):
+            HardMap(values)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_weights_must_be_finite_and_nonnegative(self, weight):
+        for map_type in (SoftMap, HardMap):
+            with pytest.raises(ValueError, match="finite"):
+                map_type([1.0, 0.0], weights=[1.0, weight])
+
+    def test_maps_own_read_only_copies(self):
+        values, weights = np.array([0.25, 1.0]), np.array([2.0, 3.0])
+        m = SoftMap(values, weights=weights)
+        values[0], weights[0] = 0.5, 1.0
+        assert m.values.tolist() == [0.25, 1.0] and m.weights.tolist() == [2.0, 3.0]
+        with pytest.raises(ValueError):
+            m.values[0] = 0.0
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
         assert cross_entropy(SoftMap([1.0]), SoftMap([1.0])) == pytest.approx(0.0, abs=1e-10)
@@ -132,6 +158,11 @@ class TestVolume:
     def test_voxel_volume_scales(self):
         assert volume_of(HardMap([1, 1]), voxel_volume=2.5) == pytest.approx(5.0, abs=1e-12)
 
+    @pytest.mark.parametrize("voxel_volume", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_voxel_volume_rejected(self, voxel_volume):
+        with pytest.raises(ValueError, match="voxel volume"):
+            volume_of(SoftMap([0.5]), voxel_volume=voxel_volume)
+
     def test_threshold_volume_gap_bounded(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
@@ -162,6 +193,13 @@ class TestVolumeErrorReport:
         assert rep.relative_delta_v is None and rep.relative_abs_delta_v is None
         assert not rep.relatives_defined
         assert rep.abs_delta_v == 1.0
+
+    @pytest.mark.parametrize(
+        "pred, true", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1.0, -1.0)]
+    )
+    def test_rejects_bad_volumes(self, pred, true):
+        with pytest.raises(ValueError, match="finite"):
+            volume_error_report(pred, true)
 
 
 class TestAccuracy:

@@ -206,6 +206,17 @@ class TestSwitchPoint:
         assert find_switch_point(k + 1, mu, tol=tol) <= star + 2 * tol
         assert find_switch_point(k, mu * factor, tol=tol) <= star + 2 * tol
 
+    @pytest.mark.parametrize("k", [10**2, 10**3, 10**4])
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 4.0, 20.0])
+    def test_large_k_limit(self, k, mu):
+        # The minimize docstring's bound: L < p*_K <= L + c/(s K), within the bisection's tol.
+        tol = 1e-12
+        limit = (np.sqrt(1.0 + mu) - 1.0) / mu
+        c = (0.5 + 4.0 * (1.0 + mu) / (2.0 + mu) ** 3) * mu**2 / 8.0
+        s = mu / ((2.0 + mu) * (1.0 - limit))
+        sw = find_switch_point(k, mu, tol=tol)
+        assert limit - tol <= sw <= limit + c / (s * k) + tol
+
     def test_switch_brackets_the_argmin_flip(self):
         sw = find_switch_point(4, 4.0, tol=1e-9)
         below = sd_minimizer(scenario(100, 1, 4.0, 4, sw - 1e-3))

@@ -151,6 +151,18 @@ class TestConfigurationVolume:
             configuration_volume(model, LabelConfiguration((0, 1)))
 
 
+class TestLabelConfiguration:
+    @pytest.mark.parametrize("labels", [(0.7, 1.9, 0), (0, math.nan), (2,), (-1,), ((0, 1),)])
+    def test_labels_must_be_exactly_binary(self, labels):
+        # Casting first once turned (0.7, 1.9, 0) into (0, 1, 0).
+        with pytest.raises(ValueError):
+            LabelConfiguration(labels)
+
+    def test_labels_are_python_ints(self):
+        cfg = LabelConfiguration(np.array([1.0, 0.0, 1.0]))
+        assert cfg.labels == (1, 0, 1) and all(type(v) is int for v in cfg.labels)
+
+
 class TestScenarioJson:
     def test_round_trip_uses_exact_keys(self):
         spec = scenario(100, 1, 4.0, 4, 0.25)

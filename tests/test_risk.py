@@ -271,13 +271,12 @@ class TestPredictionAssignment:
             expected_ce(model, PredictionAssignment([0.5, 0.5]))
 
     def test_values_must_be_probabilities(self):
-        with pytest.raises(ValueError):
-            PredictionAssignment([0.5, 1.2])
+        # An accepted NaN prediction made expected_sd_exhaustive report a perfect 0.0.
         spec = scenario(100, 1, 1.0, 4, 0.5)
-        for curve in (sd_binomial_curve, ce_curve):
+        for check in (PredictionAssignment, lambda q: sd_binomial_curve(spec, q), lambda q: ce_curve(spec, q)):
             for bad in ([0.5, 1.2], [-0.1], [np.nan], [[0.5]]):
                 with pytest.raises(ValueError):
-                    curve(spec, bad)
+                    check(bad)
 
     def test_scenario_prediction_shape(self):
         spec = scenario(100, 1, 4.0, 4, 0.5)

@@ -78,6 +78,11 @@ class TestBootstrapPaired:
         with pytest.raises(ValueError, match="finite"):
             bootstrap_paired([1.0, 2.0, 3.0], [0.0, 0.0, bad], n_resamples=2000, seed=0)
 
+    def test_rejects_a_difference_that_overflows(self):
+        # Every value is finite, but 1e308 - (-1e308) is not.
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_paired([1e308, 1e308], [-1e308, -1e308], n_resamples=2000, seed=0)
+
     def test_one_sided_size_under_null(self):
         # Light calibration check; the acceptance suite runs the full one.
         rng = np.random.default_rng(3)
@@ -186,6 +191,15 @@ class TestApplyCalibration:
             after = abs(np.mean(corrected - true))
             assert after <= before + 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_volume_rejected(self, bad):
+        from volbias.stats import CalibrationFit
+
+        fit = CalibrationFit(1.0, 0.0, 3, 0.0, 0.0)
+        for volume in (bad, np.array([1.0, bad])):
+            with pytest.raises(ValueError, match="finite"):
+                apply_calibration(fit, volume)
+
 
 class TestVolumeSpecificProfile:
     def test_perfect_predictions_on_diagonal(self):
@@ -223,3 +237,12 @@ class TestVolumeSpecificProfile:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             volume_specific_profile(np.arange(9.0), np.arange(9.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_volumes_rejected(self, bad):
+        # A NaN true volume once sorted last and left a NaN decile.
+        v = np.arange(1.0, 11.0)
+        with pytest.raises(ValueError, match="finite"):
+            volume_specific_profile(np.where(v == 5.0, bad, v), v)
+        with pytest.raises(ValueError, match="finite"):
+            volume_specific_profile(v, np.where(v == 5.0, bad, v))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ class TestGenerateDataset:
         model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
         with pytest.raises(ValueError, match="overflow"):
             generate_dataset(model, 5, ppuv, seed=0)
+
+    def test_pixels_per_image_past_int64(self):
+        # Each count fits an int64 (9.05e18 and twice 9.05e16); their sum does not.
+        model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
+        ds = generate_dataset(model, 8, 90_500_000_000_000_000, seed=0)
+        assert ds.pixels_per_image == 9_231_000_000_000_000_000
 
     def test_deterministic_per_seed(self):
         model = expand_scenario(scenario(100, 1, 4.0, 4, 0.3))
@@ -410,6 +417,13 @@ class TestTraining:
         ds = generate_dataset(model, 100, 10, seed=27)
         with pytest.raises(ValueError, match="patience"):
             train(ds, "ce", patience=patience)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
+        ds = generate_dataset(model, 100, 10, seed=27)
+        with pytest.raises(ValueError, match="learning rate"):
+            train(ds, "ce", lr=lr)
 
     @pytest.mark.parametrize("max_epochs", [0, -1])
     def test_nonpositive_max_epochs_rejected(self, max_epochs):
