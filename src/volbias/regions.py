@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -67,16 +68,26 @@ class RegionModel:
         if not 0 < sum(r.volume for r in self.regions) < np.inf:
             raise ValueError("total volume must be positive and finite")
 
-    @property
+    # built on first access, then shared: read-only so no caller can change the model through them
+    @cached_property
     def volumes(self) -> np.ndarray:
-        return np.array([r.volume for r in self.regions])
+        return _read_only(np.array([r.volume for r in self.regions]))
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        return np.array([r.p_fg for r in self.regions])
+        return _read_only(np.array([r.p_fg for r in self.regions]))
+
+    def __getstate__(self):
+        # a copied or unpickled array would be writable: leave the arrays out and rebuild them
+        return {"regions": self.regions}
 
     def __len__(self) -> int:
         return len(self.regions)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _json_number(value, cast=float):

@@ -140,10 +140,15 @@ class TrainReport:
     final_loss: float
     per_region_pred: np.ndarray
     epochs_run: int
-    converged: bool
+    stop_reason: str  # "plateau", "saturated" or "max_epochs"; see _fit
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
+
+    @property
+    def converged(self) -> bool:
+        """The run stopped on its own, by plateau or saturation, not at the epoch cap."""
+        return self.stop_reason != "max_epochs"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -307,6 +312,10 @@ _ADAM_B1 = 0.9
 _ADAM_B2 = 0.99
 _ADAM_EPS = 1e-8
 
+# A run whose predictions all moved by less than this over one patience
+# window has saturated: soft-Dice drives them to an endpoint of [0, 1].
+_SATURATION_TOL = 1e-6
+
 
 def _fit(
     counts: np.ndarray,
@@ -318,7 +327,7 @@ def _fit(
     max_epochs: int,
     patience: int,
     init: ToyModel | None = None,
-) -> tuple[np.ndarray, float, int, bool, float, np.ndarray]:
+) -> tuple[np.ndarray, float, int, str, float, np.ndarray]:
     """Deterministic full-batch adaptive-moment descent on the compact form.
 
     One parameter vector theta = (region weights, shared bias) takes every
@@ -327,11 +336,16 @@ def _fit(
     small regions; per-parameter moment normalization makes every logit
     move at a comparable rate without touching the stationary points. The
     learning rate is divided by five for every ``patience`` epochs without
-    validation improvement and the run stops after two such windows. The
-    last iterate and its prediction are returned: under deterministic
-    full-batch descent it is the most-trained model, and selecting an
-    earlier snapshot by validation loss would drag the predictions toward
-    the validation split's label frequencies.
+    validation improvement and the run stops after two such windows
+    (``"plateau"``). Every ``patience`` epochs, from epoch 1 on, the
+    prediction is compared with the one at the previous check; the run
+    stops when no entry moved by ``_SATURATION_TOL`` or more
+    (``"saturated"``), as soft-Dice runs do once their predictions reach
+    an endpoint. Otherwise it ends after ``max_epochs`` (``"max_epochs"``).
+    The last iterate and its prediction are returned with the stop reason:
+    under deterministic full-batch descent it is the most-trained model,
+    and selecting an earlier snapshot by validation loss would drag the
+    predictions toward the validation split's label frequencies.
     """
     counts = counts.astype(float)
     volumes = counts / pixels_per_unit_volume
@@ -341,9 +355,13 @@ def _fit(
     theta = np.zeros(counts.size + 1) if init is None else np.append(init.weights, init.bias)
     if theta.size != counts.size + 1:
         raise ValueError("warm-start model has the wrong number of regions")
-    m1 = m2 = np.zeros_like(theta)
+    # the step is taken in place, in the operation order of
+    # m2 = B2 * m2 + ((1 - B2) * g) * g and theta -= (lr * hat1) / (sqrt(hat2) + eps)
+    g, m1, m2, step, scratch = (np.zeros_like(theta) for _ in range(5))
     best_val = np.inf
     since_improvement = 0
+    checked = None
+    stop_reason = "max_epochs"
     for epoch in range(1, max_epochs + 1):
         y = sigmoid(theta[:-1] + theta[-1])
         grad_w = grad_w_at(y)
@@ -360,17 +378,31 @@ def _fit(
             if since_improvement % patience == 0:
                 lr /= 5.0
             if since_improvement >= 2 * patience:
+                stop_reason = "plateau"
                 break
-        g = np.append(grad_w, grad_w.sum())
-        m1 = _ADAM_B1 * m1 + (1.0 - _ADAM_B1) * g
-        m2 = _ADAM_B2 * m2 + (1.0 - _ADAM_B2) * g * g
-        hat1 = m1 / (1.0 - _ADAM_B1**epoch)
-        hat2 = m2 / (1.0 - _ADAM_B2**epoch)
-        theta = theta - lr * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
-    # only the plateau rule leaves the loop with a full second window
-    stopped = since_improvement >= 2 * patience
+        if (epoch - 1) % patience == 0:
+            if checked is not None and np.abs(y - checked).max() < _SATURATION_TOL:
+                stop_reason = "saturated"
+                break
+            checked = y
+        g[:-1] = grad_w
+        g[-1] = grad_w.sum()
+        m1 *= _ADAM_B1
+        np.multiply(1.0 - _ADAM_B1, g, out=scratch)
+        m1 += scratch
+        m2 *= _ADAM_B2
+        np.multiply(1.0 - _ADAM_B2, g, out=scratch)
+        scratch *= g
+        m2 += scratch
+        np.divide(m1, 1.0 - _ADAM_B1**epoch, out=step)
+        step *= lr
+        np.divide(m2, 1.0 - _ADAM_B2**epoch, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += _ADAM_EPS
+        step /= scratch
+        theta -= step
     y = sigmoid(theta[:-1] + theta[-1])
-    return theta[:-1], float(theta[-1]), epoch, stopped, val_loss_at(y), y
+    return theta[:-1], float(theta[-1]), epoch, stop_reason, val_loss_at(y), y
 
 
 def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,9 +433,10 @@ def train(
     Images are split 60/20/20 into train/validation/test by a seeded
     permutation. Optimization is deterministic full-batch descent with
     adaptive moment scaling (see :func:`_fit`); the validation loss drives
-    the plateau schedule and the stopping rule, the last iterate is the
-    trained model, and soft and thresholded volume biases are measured on
-    the test images.
+    the plateau schedule and its stopping rule, a run also stops once its
+    predictions have saturated, the last iterate is the trained model, and
+    soft and thresholded volume biases are measured on the test images.
+    The report's ``stop_reason`` says which rule ended the run.
     """
     if loss_kind not in DEFAULT_LR:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")
@@ -418,7 +451,7 @@ def train(
     i_train, i_val, i_test = _split_indices(dataset.n_images, seed)
     if i_test.size == 0:
         raise ValueError("dataset too small to hold out test images")
-    w, b, epochs, converged, final_loss, pred = _fit(
+    w, b, epochs, stop_reason, final_loss, pred = _fit(
         dataset.region_pixel_counts,
         dataset.pixels_per_unit_volume,
         dataset.labels[i_train],
@@ -435,7 +468,7 @@ def train(
         final_loss=final_loss,
         per_region_pred=pred,
         epochs_run=epochs,
-        converged=converged,
+        stop_reason=stop_reason,
         bias_soft=bias_soft,
         bias_hard=bias_hard,
         model=ToyModel(w, b),

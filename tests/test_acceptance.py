@@ -15,16 +15,13 @@ import pytest
 import scipy.optimize
 
 from volbias import (
-    HardMap,
     PredictionAssignment,
     Region,
     RegionModel,
     ScenarioSpec,
-    SoftMap,
     apply_calibration,
     bias_curve,
     bootstrap_paired,
-    cross_entropy,
     expand_scenario,
     expected_ce,
     expected_sd_binomial,
@@ -32,14 +29,14 @@ from volbias import (
     find_switch_point,
     fit_calibration,
     generate_dataset,
-    sample_labeling,
+    sample_labelings,
     scenario_prediction,
     sd_minimizer,
-    soft_dice_loss,
     train,
     volume_specific_profile,
 )
 from volbias.cli import main as cli_main
+from volbias.losses import LOG_EPS
 from volbias.rng import spawn_seeds
 from volbias.trainer import ToyModel, ce_batch_loss, ce_gradient, sd_batch_loss, sd_gradient
 
@@ -193,15 +190,18 @@ def test_criterion_05_exhaustive_binomial_equivalence_and_monte_carlo():
         spec = scenario(mu, k, p)
         model = expand_scenario(spec)
         pred = scenario_prediction(model, q)
-        w = model.volumes
-        labels = np.array([sample_labeling(model, s).labels for s in range(n)], dtype=float)
-        soft_pred = SoftMap(pred.p_pred, weights=w)
-        # the 1e-12 floor covers zero-variance cases where rounding alone
+        w, q_pred = model.volumes, pred.p_pred
+        # the labeling sample_labeling(model, s) draws, for s = 0 .. n - 1
+        labels = np.concatenate([sample_labelings(model, 1, s) for s in range(n)])
+        # each sample scored in one expression of its own, not with the package's loss terms;
+        # the certain foreground, predicted 1, keeps every soft-Dice denominator positive.
+        # The 1e-12 floor covers zero-variance cases where rounding alone
         # would exceed four standard errors
-        sd_samples = np.array([soft_dice_loss(HardMap(l, weights=w), soft_pred) for l in labels])
+        sd_samples = 1.0 - 2.0 * (labels @ (w * q_pred)) / (labels @ w + w @ q_pred)
         se = sd_samples.std(ddof=1) / math.sqrt(n)
         assert abs(sd_samples.mean() - expected_sd_exhaustive(model, pred).value) < 4 * se + 1e-12
-        ce_samples = np.array([cross_entropy(HardMap(l, weights=w), soft_pred) for l in labels])
+        q_clipped = np.clip(q_pred, LOG_EPS, 1.0 - LOG_EPS)
+        ce_samples = -np.log(np.where(labels == 1.0, q_clipped, 1.0 - q_clipped)) @ w
         se = ce_samples.std(ddof=1) / math.sqrt(n)
         assert abs(ce_samples.mean() - expected_ce(model, pred).value) < 4 * se + 1e-12
     ok(5, f"exhaustive and binomial routes agree (max gap {worst:.1e}); Monte Carlo within 4 SE")

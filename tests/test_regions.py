@@ -1,7 +1,9 @@
 """Region model: construction, volumes, sampling, enumeration oracle."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -65,6 +67,19 @@ class TestExpandScenario:
             Region(1.0, 1.5)
         with pytest.raises(ValueError):
             scenario(1, 1, 1.0, 1, -0.2)
+
+    def test_volume_and_probability_arrays_are_shared_and_read_only(self):
+        model = expand_scenario(scenario(100, 1, 1.0, 2, 0.5))
+        assert model.volumes is model.volumes and model.probabilities is model.probabilities
+        with pytest.raises(ValueError, match="read-only"):
+            model.volumes[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.probabilities[1] = 1.0
+        assert model.volumes.tolist() == [100.0, 0.5, 0.5, 1.0]
+        assert model.probabilities.tolist() == [0.0, 0.5, 0.5, 1.0]
+        for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert other == model and not other.volumes.flags.writeable
+            assert other.probabilities.tolist() == [0.0, 0.5, 0.5, 1.0]
 
 
 class TestExpectedVolume:

@@ -10,24 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volbias import (
-    HardMap,
     PredictionAssignment,
     Region,
     RegionModel,
     ScenarioSpec,
-    SoftMap,
     TooManyUncertainRegionsError,
     ce_curve,
-    cross_entropy,
     expand_scenario,
     expected_ce,
     expected_sd_binomial,
     expected_sd_exhaustive,
-    sample_labeling,
+    sample_labelings,
     scenario_prediction,
     sd_binomial_curve,
-    soft_dice_loss,
 )
+from volbias.losses import LOG_EPS
 from volbias.risk import _binomial_log_weights
 
 
@@ -36,7 +33,8 @@ def scenario(s_alpha, s_gamma, mu, k, p):
 
 
 def mc_sample_labels(model, n, seed):
-    return np.array([sample_labeling(model, s).labels for s in range(seed, seed + n)], dtype=float)
+    """One labeling per seed in ``seed .. seed + n - 1``, as ``sample_labeling`` draws it."""
+    return np.concatenate([sample_labelings(model, 1, s) for s in range(seed, seed + n)])
 
 
 def exact_binomial_weights(k, p):
@@ -89,8 +87,9 @@ class TestExpectedCe:
         pred = scenario_prediction(model, 0.6)
         n = 100_000
         labels = mc_sample_labels(model, n, seed=900)
-        w = model.volumes
-        samples = np.array([cross_entropy(HardMap(l, weights=w), SoftMap(pred.p_pred, weights=w)) for l in labels])
+        # per sample: the volume-weighted -log of the probability predicted for the drawn label
+        q = np.clip(pred.p_pred, LOG_EPS, 1.0 - LOG_EPS)
+        samples = -np.log(np.where(labels == 1.0, q, 1.0 - q)) @ model.volumes
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - expected_ce(model, pred).value) < 4 * se
 
@@ -145,9 +144,10 @@ class TestExpectedSdExhaustive:
         pred = scenario_prediction(model, 0.7)
         n = 100_000
         labels = mc_sample_labels(model, n, seed=4242)
-        w = model.volumes
-        soft_pred = SoftMap(pred.p_pred, weights=w)
-        samples = np.array([soft_dice_loss(HardMap(l, weights=w), soft_pred) for l in labels])
+        w, q = model.volumes, pred.p_pred
+        # per sample: 1 - 2 * overlap / (label volume + predicted volume); the certain
+        # foreground, predicted 1, keeps every denominator positive
+        samples = 1.0 - 2.0 * (labels @ (w * q)) / (labels @ w + w @ q)
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - expected_sd_exhaustive(model, pred).value) < 4 * se
 

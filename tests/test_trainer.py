@@ -443,6 +443,42 @@ class TestTraining:
         assert abs(sd_report.per_region_pred[1] - 1.0) < 0.05
 
 
+class TestStopping:
+    """Why and when a run stops: plateau, saturation or the epoch cap."""
+
+    @staticmethod
+    def dataset(k):
+        return generate_dataset(expand_scenario(scenario(100, 1, 1.0, k, 0.75)), 300, 16, seed=40 + k)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_sd_stops_once_saturated(self, k):
+        ds = self.dataset(k)
+        report = train(ds, "sd", max_epochs=3000, patience=200, seed=13)
+        assert report.stop_reason == "saturated" and report.converged
+        assert report.epochs_run < 3000
+        # nothing is left to learn: continuing moves no prediction by the tolerance and
+        # stops at the first comparison, one patience window after epoch 1
+        more = train(ds, "sd", max_epochs=3000, patience=200, seed=13, init=report.model)
+        assert np.abs(more.per_region_pred - report.per_region_pred).max() < 1e-6
+        assert more.stop_reason == "saturated" and more.epochs_run == 201
+
+    def test_ce_stops_by_plateau(self):
+        report = train(self.dataset(1), "ce", max_epochs=3000, patience=200, seed=13)
+        assert report.stop_reason == "plateau" and report.converged
+        assert report.epochs_run < 3000
+
+    def test_cap_below_patience_reports_max_epochs(self):
+        report = train(self.dataset(4), "sd", max_epochs=150, patience=200, seed=13)
+        assert report.stop_reason == "max_epochs" and not report.converged
+        assert report.epochs_run == 150
+
+    def test_patience_one_checks_every_epoch(self):
+        ds = self.dataset(4)
+        report = train(ds, "sd", max_epochs=3000, patience=200, seed=13)
+        more = train(ds, "sd", max_epochs=3000, patience=1, seed=13, init=report.model)
+        assert more.stop_reason == "saturated" and more.epochs_run == 2
+
+
 class TestEmpiricalVolumeBias:
     def test_ce_trained_soft_bias_near_zero(self):
         spec = scenario(100, 1, 1.0, 1, 0.5)
