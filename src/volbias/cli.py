@@ -155,14 +155,15 @@ def _cell_seed(parts: tuple[int, ...], n: int = 1) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _grid(cfg: dict) -> tuple[list[int], list[float], list[float], float, float]:
-    """The sorted k_list, mu_list and p_beta_grid and the s_alpha, s_gamma of a curve command."""
+def _grid(cfg: dict) -> tuple[list[int], list[float], list[float], float]:
+    """The sorted k_list, mu_list and p_beta_grid and the s_gamma of a curve command."""
     lists = (sorted(_list(cfg, "k_list", _integer)), sorted(_list(cfg, "mu_list")), sorted(_list(cfg, "p_beta_grid")))
-    return (*lists, _number(cfg, "s_alpha", 100.0), _number(cfg, "s_gamma", 1.0))
+    return (*lists, _number(cfg, "s_gamma", 1.0))
 
 
 def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list, mu_list, p_grid, s_alpha, s_gamma = _grid(cfg)
+    k_list, mu_list, p_grid, s_gamma = _grid(cfg)
+    s_alpha = _number(cfg, "s_alpha", 100.0)  # the cross-entropy scores the background
     qs = np.linspace(0.0, 1.0, _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2))
     path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
@@ -177,15 +178,15 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
 
 
 def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
-    k_list, mu_list, p_grid, s_alpha, s_gamma = _grid(cfg)
+    k_list, mu_list, p_grid, s_gamma = _grid(cfg)
     switch_tol = _number(cfg, "switch_tol", 1e-6)
     path = _path(cfg, "output_path", "bias_curve.csv", out_dir)
 
     rows = []
     for k in k_list:
         for mu in mu_list:
-            switch = find_switch_point(k, mu, tol=switch_tol, s_alpha=s_alpha, s_gamma=s_gamma)
-            for pt in bias_curve(k, mu, p_grid, s_alpha=s_alpha, s_gamma=s_gamma):
+            switch = find_switch_point(k, mu, tol=switch_tol, s_gamma=s_gamma)
+            for pt in bias_curve(k, mu, p_grid, s_gamma=s_gamma):
                 rows.append([k, mu, pt.p_beta, pt.p_tilde_opt, pt.prob_error, pt.volume_bias, switch])
     _write_csv(
         path,

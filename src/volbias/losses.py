@@ -132,7 +132,7 @@ def cross_entropy(target: SoftMap | HardMap, pred: SoftMap) -> float:
     return float(target.weights @ _ce_terms(target.values, pred.values))
 
 
-def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap) -> float:
+def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap | HardMap) -> float:
     """One minus the weighted soft overlap ratio.
 
     Element weights are taken from the target map. Defined as 0 when target
@@ -150,31 +150,21 @@ def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap) -> float:
 
 def dice_score(a: HardMap, b: HardMap) -> float:
     """Weighted overlap score between two binary maps; 1.0 for empty/empty."""
-    _check_same_length(a, b)
-    w = a.weights
-    inter = float(w @ (a.values * b.values))
-    denom = float(w @ a.values + w @ b.values)
-    if denom == 0.0:
-        return 1.0
-    return 2.0 * inter / denom
+    return 1.0 - soft_dice_loss(a, b)
 
 
-def threshold(pred: SoftMap, tau: float = 0.5) -> HardMap:
-    """Binarize a soft map; values >= tau become foreground."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {tau}")
-    return HardMap((pred.values >= tau).astype(float), pred.weights)
+def threshold(pred: SoftMap) -> HardMap:
+    """Binarize a soft map; values >= 0.5 become foreground."""
+    return HardMap((pred.values >= 0.5).astype(float), pred.weights)
 
 
-def volume_of(m: SoftMap | HardMap, voxel_volume: float = 1.0) -> float:
-    """Weighted volume of a map: voxel_volume * sum(weight * value).
+def volume_of(m: SoftMap | HardMap) -> float:
+    """Weighted volume of a map: sum(weight * value).
 
     For a soft map this is the expected-volume estimator implied by reading
     the values as foreground probabilities.
     """
-    if not 0.0 < voxel_volume < np.inf:
-        raise ValueError(f"voxel volume must be finite and > 0, got {voxel_volume}")
-    return float(voxel_volume * (m.weights @ m.values))
+    return float(m.weights @ m.values)
 
 
 def volume_error_report(pred_vol: float, true_vol: float) -> VolumeErrorReport:

@@ -100,50 +100,39 @@ def sd_minimizer(spec: ScenarioSpec) -> SdMinimum:
     return SdMinimum(0.0, at_0, False) if at_0 < at_1 else SdMinimum(1.0, at_1, False)
 
 
-def _scenario(k: int, mu: float, p_beta: float, s_alpha: float, s_gamma: float) -> ScenarioSpec:
-    return ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p_beta)
-
-
-def bias_curve(
-    k: int,
-    mu: float,
-    p_grid: Sequence[float],
-    s_alpha: float = 100.0,
-    s_gamma: float = 1.0,
-) -> list[BiasPoint]:
+def bias_curve(k: int, mu: float, p_grid: Sequence[float], s_gamma: float = 1.0) -> list[BiasPoint]:
     """Soft-Dice probability error and volume bias across true probabilities.
 
     The volume bias is the probability error times the total uncertain
     volume mu * s_gamma (in voxel-volume units): every uncertain region
-    misestimated by the same amount contributes proportionally.
+    misestimated by the same amount contributes proportionally. Soft-Dice
+    never scores the certain background, so its volume never enters.
     """
     points = []
     for p in p_grid:
-        opt = sd_minimizer(_scenario(k, mu, p, s_alpha, s_gamma))
+        # soft-Dice never reads the background, so s_alpha = 0 changes nothing
+        opt = sd_minimizer(ScenarioSpec(s_alpha=0.0, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p))
         err = opt.p_tilde_opt - p
         points.append(BiasPoint(float(p), opt.p_tilde_opt, float(err), float(mu * s_gamma * err)))
     return points
 
 
-def find_switch_point(
-    k: int,
-    mu: float,
-    tol: float = 1e-6,
-    s_alpha: float = 100.0,
-    s_gamma: float = 1.0,
-) -> float | None:
+def find_switch_point(k: int, mu: float, tol: float = 1e-6, s_gamma: float = 1.0) -> float | None:
     """Bisect for the true probability where the endpoint preference flips.
 
     The bracketing function is the loss gap E[SD](q=1) - E[SD](q=0):
     positive means under-estimation (0 preferred), negative means
     over-estimation. Returns None if the gap never changes sign on [0, 1]
-    (for instance when there is no uncertain volume at all).
+    (for instance when there is no uncertain volume at all). The certain
+    background never enters: soft-Dice does not score true negatives.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
 
     def gap(p: float) -> float:
-        at_0, at_1 = sd_binomial_curve(_scenario(k, mu, p, s_alpha, s_gamma), (0.0, 1.0))
+        # soft-Dice never reads the background, so s_alpha = 0 changes nothing
+        spec = ScenarioSpec(s_alpha=0.0, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
+        at_0, at_1 = sd_binomial_curve(spec, (0.0, 1.0))
         return at_1 - at_0
 
     lo, hi = 0.0, 1.0

@@ -144,23 +144,18 @@ def fit_calibration(pred_volumes, true_volumes) -> CalibrationFit:
     )
 
 
-def apply_calibration(fit: CalibrationFit, pred_volume, with_flag: bool = False):
+def apply_calibration(fit: CalibrationFit, pred_volume):
     """Correct predicted volumes with a fitted line, clamping below zero.
 
-    Accepts a scalar or an array. With ``with_flag=True`` also returns
-    whether any clamping occurred (a boolean, or a boolean array for array
-    input), distinguishing a clamped zero from a genuine zero.
+    Accepts a scalar or an array and returns the same shape. A corrected
+    zero was clamped where ``fit.slope * pred_volume + fit.intercept < 0``.
     """
     pred_volume = np.asarray(pred_volume, dtype=float)
     if not np.isfinite(pred_volume).all():
         raise ValueError("predicted volumes must be finite")
     raw = fit.slope * pred_volume + fit.intercept
-    clamped = raw < 0.0
-    corrected = np.where(clamped, 0.0, raw)
-    if np.ndim(pred_volume) == 0:
-        corrected = float(corrected)
-        clamped = bool(clamped)
-    return (corrected, clamped) if with_flag else corrected
+    corrected = np.where(raw < 0.0, 0.0, raw)
+    return float(corrected) if np.ndim(pred_volume) == 0 else corrected
 
 
 def volume_specific_profile(pred_volumes, true_volumes) -> VolumeSpecificProfile:

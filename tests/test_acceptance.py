@@ -31,6 +31,7 @@ from volbias import (
     generate_dataset,
     sample_labelings,
     scenario_prediction,
+    sd_binomial_curve,
     sd_minimizer,
     train,
     volume_specific_profile,
@@ -108,9 +109,7 @@ def test_criterion_01_sd_argmin_is_binary_on_benchmark_grid():
     for k in K_GRID:
         for mu in MU_GRID:
             for p in P_GRID:
-                spec = scenario(mu, k, p)
-                vals = np.array([expected_sd_binomial(spec, q).value for q in qs])
-                q_star = qs[int(np.argmin(vals))]
+                q_star = qs[int(np.argmin(sd_binomial_curve(scenario(mu, k, p), qs)))]
                 assert min(q_star, 1.0 - q_star) < 1e-6, (k, mu, p, q_star)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"grid sweep took {elapsed:.1f}s"
@@ -179,9 +178,8 @@ def test_criterion_05_exhaustive_binomial_equivalence_and_monte_carlo():
             for p in P_GRID:
                 spec = scenario(mu, k, p)
                 model = expand_scenario(spec)
-                for q in qs:
+                for q, bi in zip(qs, sd_binomial_curve(spec, qs)):
                     ex = expected_sd_exhaustive(model, scenario_prediction(model, q)).value
-                    bi = expected_sd_binomial(spec, q).value
                     worst = max(worst, abs(ex - bi))
     assert worst < 1e-12, f"worst route disagreement {worst:.2e}"
 

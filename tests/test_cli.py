@@ -122,6 +122,16 @@ class TestBiasCurveCommand:
         (row,) = read_rows(tmp_path / "bias_curve.csv")
         assert float(row["volume_bias"]) == pytest.approx(-1.0, abs=1e-9)
 
+    def test_background_volume_never_enters(self, tmp_path):
+        # soft-Dice does not score true negatives, so s_alpha is not read
+        base = {"k_list": [1, 4, 16], "mu_list": [0.25, 4.0], "p_beta_grid": [0.0, 0.3, 0.5, 1.0], "s_gamma": 2.5}
+        outputs = set()
+        for i, extra in enumerate(({}, {"s_alpha": 0}, {"s_alpha": 100}, {"s_alpha": 1e6})):
+            cfg = write_config(tmp_path, f"cfg{i}.json", {**base, **extra})
+            assert run(["bias-curve", "--config", cfg, "--out", tmp_path / str(i)]) == 0
+            outputs.add((tmp_path / str(i) / "bias_curve.csv").read_bytes())
+        assert len(outputs) == 1
+
 
 class TestTrainToyCommand:
     CONFIG = {
@@ -328,7 +338,7 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [3]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": [2000]}),
             ("bootstrap", {"a": [[1], [2]], "b": [0, 0]}),
-            ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_alpha": math.nan}),
+            ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_gamma": math.nan}),
             ("risk-curve", {"k_list": [1], "mu_list": [math.nan], "p_beta_grid": [0.5]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_gamma": math.inf}]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 0}),

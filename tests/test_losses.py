@@ -155,14 +155,6 @@ class TestVolume:
     def test_all_zero_map(self):
         assert volume_of(SoftMap([0.0, 0.0])) == 0.0
 
-    def test_voxel_volume_scales(self):
-        assert volume_of(HardMap([1, 1]), voxel_volume=2.5) == pytest.approx(5.0, abs=1e-12)
-
-    @pytest.mark.parametrize("voxel_volume", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_voxel_volume_rejected(self, voxel_volume):
-        with pytest.raises(ValueError, match="voxel volume"):
-            volume_of(SoftMap([0.5]), voxel_volume=voxel_volume)
-
     def test_threshold_volume_gap_bounded(self):
         rng = np.random.default_rng(31)
         for _ in range(100):

@@ -198,6 +198,22 @@ class TestSwitchPoint:
         ends = [sd_binomial_curve(scenario(s_alpha, s_gamma, mu, k, p), (0.0, 1.0)) for p in np.linspace(0.0, 1.0, 201)]
         assert_one_sign_change_down(np.array([at_1 - at_0 for at_0, at_1 in ends]))
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        k=st.integers(1, 64),
+        mu=st.floats(0.01, 20.0),
+        s_alpha=st.floats(0.0, 1e3),
+        s_gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    )
+    def test_switch_point_ignores_the_volumes(self, k, mu, s_alpha, s_gamma):
+        # soft-Dice never scores the background and s_gamma cancels, so the
+        # switch point at the default volumes brackets the root of every scenario's gap
+        tol = 1e-9
+        star = find_switch_point(k, mu, tol=tol)
+        for p, sign in ((star - 2 * tol, 1.0), (star + 2 * tol, -1.0)):
+            at_0, at_1 = sd_binomial_curve(scenario(s_alpha, s_gamma, mu, k, p), (0.0, 1.0))
+            assert sign * (at_1 - at_0) > 0.0, (p, at_1 - at_0)
+
     @settings(deadline=None, max_examples=30)
     @given(k=st.integers(1, 127), mu=st.floats(-2.0, 2.0).map(lambda e: 10.0**e), factor=st.floats(1.0, 2.0))
     def test_switch_point_does_not_rise_with_k_or_mu(self, k, mu, factor):
