@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ import numpy as np
 
 from .minimize import bias_curve, find_switch_point
 from .regions import RegionModel, ScenarioSpec, _json_number, expand_scenario
-from .risk import ce_curve, sd_binomial_curve
+from .risk import _sd_binomial_at, _sd_binomial_table, ce_curve
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
 from .trainer import DEFAULT_LR, TrainingDivergedError, generate_dataset, train
 
@@ -44,6 +45,11 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     return "" if x is None else f"{x:.15g}"
+
+
+def _column(values: np.ndarray) -> list[str]:
+    """The CSV cells of a float array, as ``_fmt`` writes each number."""
+    return list(map("{:.15g}".format, values.tolist()))
 
 
 def _rounded(obj):
@@ -167,14 +173,17 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     qs = np.linspace(0.0, 1.0, _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2))
     path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
-    rows = []
+    q_col = _column(qs)  # written column by column
+    lines = ["k,mu,p_beta,p_tilde,expected_sd,expected_ce"]
     for k in k_list:
         for mu in mu_list:
+            table = _sd_binomial_table(ScenarioSpec(s_alpha, s_gamma, mu, k, 0.0), qs)  # one for every p
             for p in p_grid:
                 spec = ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
-                for q, v_sd, v_ce in zip(qs, sd_binomial_curve(spec, qs), ce_curve(spec, qs)):
-                    rows.append([k, mu, p, q, v_sd, v_ce])
-    _write_csv(path, ["k", "mu", "p_beta", "p_tilde", "expected_sd", "expected_ce"], rows)
+                prefix = f"{_fmt(k)},{_fmt(mu)},{_fmt(p)},"
+                columns = zip(q_col, _column(_sd_binomial_at(table, p)), _column(ce_curve(spec, qs)))
+                lines.extend(prefix + ",".join(cells) for cells in columns)
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
@@ -356,7 +365,8 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volbias",
         description="Volume-bias analysis sweeps for segmentation losses under label uncertainty.",
@@ -367,8 +377,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config for this command")
         p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
         p.add_argument("--out", default=".", help="directory for output files")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise CliError("--seed must be a nonnegative integer")

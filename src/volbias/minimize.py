@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .regions import RegionModel, ScenarioSpec
-from .risk import PredictionAssignment, sd_binomial_curve
+from .risk import PredictionAssignment, _sd_binomial_at, _sd_binomial_table, sd_binomial_curve
 
 __all__ = [
     "BiasPoint",
@@ -94,7 +94,12 @@ def sd_minimizer(spec: ScenarioSpec) -> SdMinimum:
     The minimum is at q = 0 or q = 1 (see the module docstring). Endpoint
     losses within 1e-12 of each other are a tie, reported at 0 and flagged.
     """
-    at_0, at_1 = (float(v) for v in sd_binomial_curve(spec, (0.0, 1.0)))
+    return _endpoint_minimum(sd_binomial_curve(spec, (0.0, 1.0)))
+
+
+def _endpoint_minimum(losses) -> SdMinimum:
+    """The smaller of the endpoint losses (E[SD](0), E[SD](1)); within 1e-12, a tie at 0."""
+    at_0, at_1 = (float(v) for v in losses)
     if abs(at_0 - at_1) <= 1e-12:
         return SdMinimum(0.0, at_0, True)
     return SdMinimum(0.0, at_0, False) if at_0 < at_1 else SdMinimum(1.0, at_1, False)
@@ -108,10 +113,12 @@ def bias_curve(k: int, mu: float, p_grid: Sequence[float], s_gamma: float = 1.0)
     misestimated by the same amount contributes proportionally. Soft-Dice
     never scores the certain background, so its volume never enters.
     """
+    # soft-Dice never reads the background, so s_alpha = 0 changes nothing
+    specs = [ScenarioSpec(0.0, s_gamma, mu, k, p) for p in p_grid]  # each p is checked
+    table = _sd_binomial_table(ScenarioSpec(0.0, s_gamma, mu, k, 0.0), (0.0, 1.0))  # one for every p
     points = []
-    for p in p_grid:
-        # soft-Dice never reads the background, so s_alpha = 0 changes nothing
-        opt = sd_minimizer(ScenarioSpec(s_alpha=0.0, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p))
+    for p, spec in zip(p_grid, specs):
+        opt = _endpoint_minimum(_sd_binomial_at(table, spec.p_beta))
         err = opt.p_tilde_opt - p
         points.append(BiasPoint(float(p), opt.p_tilde_opt, float(err), float(mu * s_gamma * err)))
     return points
@@ -128,11 +135,11 @@ def find_switch_point(k: int, mu: float, tol: float = 1e-6, s_gamma: float = 1.0
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
+    # one table, held across the bisection; s_alpha = 0 changes nothing, as in bias_curve
+    table = _sd_binomial_table(ScenarioSpec(0.0, s_gamma, mu, k, 0.0), (0.0, 1.0))
 
     def gap(p: float) -> float:
-        # soft-Dice never reads the background, so s_alpha = 0 changes nothing
-        spec = ScenarioSpec(s_alpha=0.0, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
-        at_0, at_1 = sd_binomial_curve(spec, (0.0, 1.0))
+        at_0, at_1 = _sd_binomial_at(table, p)
         return at_1 - at_0
 
     lo, hi = 0.0, 1.0

@@ -2,13 +2,13 @@
 
 Expected cross-entropy decomposes by linearity into a closed-form sum over
 regions. The expected soft-Dice loss does not: its ratio couples all
-regions, so one kernel sums it over the foreground counts of independent
-groups of interchangeable uncertain regions, with binomial weights.
+regions, so one kernel tabulates it over the foreground counts of groups
+of interchangeable uncertain regions and weights its rows binomially.
 Exhaustive enumeration makes every uncertain region a group of one (2^U
 configurations); the binomial collapse makes the K uncertain regions of a
-homogeneous scenario one group (K+1 counts). Regions with probability 0 or
-1 are never a group: they fold into a fixed label volume and overlap. The
-CE term and the soft-Dice ratio are those of :mod:`volbias.losses`.
+homogeneous scenario one group (K+1 counts), one table for every p_beta.
+Regions with probability 0 or 1 form no group but a fixed label volume and
+overlap. The CE term and the soft-Dice ratio are those of :mod:`volbias.losses`.
 """
 
 from __future__ import annotations
@@ -135,9 +135,12 @@ def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> Ex
         )
 
     certain = ~uncertain
-    groups = zip(_binomial_log_weights(1, p[uncertain]), s[uncertain], q[uncertain])
     label_volume, overlap = s[certain] @ p[certain], (s[certain] * p[certain]) @ q[certain]
-    value = float(_expected_sd(groups, label_volume, overlap, float(s @ q))[0])
+    table = _sd_table(((1, v, x) for v, x in zip(s[uncertain], q[uncertain])), label_volume, overlap, float(s @ q))
+    logw = np.zeros(1)
+    for log_b in _binomial_log_weights(1, p[uncertain]):  # first region's label fastest, as in the table
+        logw = (log_b[:, None] + logw).ravel()
+    value = float(_expected_sd(logw, table)[0])
     return ExpectedLoss(value, config_count=1 << n_unc, method="exhaustive")
 
 
@@ -158,35 +161,42 @@ def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     entry q of ``p_tilde`` is evaluated in one matrix product. Background
     is predicted 0 and certain foreground 1, their risk-optimal values.
     """
+    return _sd_binomial_at(_sd_binomial_table(spec, p_tilde), spec.p_beta)
+
+
+def _sd_binomial_table(spec: ScenarioSpec, p_tilde) -> np.ndarray:
+    """SD(m, q) with m of the K uncertain regions foreground: K, mu, s_gamma and q fix it, p_beta never."""
     q = _probabilities(p_tilde, "predictions")
     k, volume = spec.k_regions, spec.mu * spec.s_gamma / spec.k_regions
     pred_sum = k * volume * q + spec.s_gamma  # K·volume, as in the label volumes: a certain p_beta = q scores 0
-    if 0.0 < spec.p_beta < 1.0:
-        group = (_binomial_log_weights(k, spec.p_beta)[0], volume, q)
-        return _expected_sd([group], spec.s_gamma, spec.s_gamma, pred_sum)
-    fixed = k * volume * spec.p_beta
-    return _expected_sd([], fixed + spec.s_gamma, fixed * q + spec.s_gamma, pred_sum)
+    return _sd_table([(k, volume, q)], spec.s_gamma, spec.s_gamma, pred_sum)
 
 
-def _expected_sd(groups, label_volume: float, overlap, pred_sum) -> np.ndarray:
-    """Expected soft-Dice loss over independent groups of interchangeable regions.
+def _sd_binomial_at(table: np.ndarray, p: float) -> np.ndarray:
+    """E[SD] at one true probability: rows weighted Binomial(K, p), or row 0 or K for a certain p."""
+    if 0.0 < p < 1.0:  # one row product per p: one matrix product for many p rounds differently
+        return _expected_sd(_binomial_log_weights(len(table) - 1, p)[0], table)
+    return np.maximum(table[-1 if p == 1.0 else 0], 0.0)
 
-    A group is (log_weights, volume, prediction); ``log_weights[m]`` is the
-    log probability that m of its regions are foreground. Configurations
-    (first group's count fastest) carry log weights, label volumes starting
-    at ``label_volume`` and overlaps starting at ``overlap``. Predictions,
-    ``overlap`` and the predicted volume ``pred_sum`` are scalars or share a grid.
+
+def _sd_table(groups, label_volume: float, overlap, pred_sum) -> np.ndarray:
+    """Soft-Dice loss of each configuration (a row; first group's count fastest) at each q (a column).
+
+    A group is (size, volume, prediction) of interchangeable regions. Label volumes start at
+    ``label_volume``, overlaps at ``overlap``; ``overlap`` and the predicted volume ``pred_sum``
+    are scalars or share the predictions' grid.
     """
-    logw, target, inter = np.zeros(1), np.array([label_volume]), overlap
-    for log_b, volume, q in groups:
-        counts = np.arange(log_b.size) * volume
+    target, inter = np.array([label_volume]), overlap
+    for size, volume, q in groups:
+        counts = np.arange(size + 1) * volume
         inter = (counts[:, None, None] * q + inter).reshape(counts.size * target.size, -1)
         target = (counts[:, None] + target).ravel()
-        logw = (log_b[:, None] + logw).ravel()
-
     target = target[:, None] + pred_sum  # the denominators; rebinding frees the label volumes
-    sd = _sd_ratio(inter, target)  # before exp(logw): one array fewer alive at the peak
-    return np.maximum(np.exp(logw) @ sd, 0.0)  # E[SD] >= 0, but 1 - 2I/D can round below 0
+    return _sd_ratio(inter, target)
+
+
+def _expected_sd(logw: np.ndarray, table: np.ndarray) -> np.ndarray:
+    return np.maximum(np.exp(logw) @ table, 0.0)  # E[SD] >= 0, but 1 - 2I/D can round below 0
 
 
 def _binomial_log_weights(k: int, p) -> np.ndarray:

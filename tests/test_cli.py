@@ -320,7 +320,16 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize("command", ["risk-curve", "bias-curve"])
     @pytest.mark.parametrize(
         "override",
-        [{"p_beta_grid": 0.5}, {"k_list": 4}, {"k_list": []}, {"k_list": [None]}, {"mu_list": ["x"]}, {"k_list": [1.7]}],
+        [
+            {"p_beta_grid": 0.5},
+            {"k_list": 4},
+            {"k_list": []},
+            {"k_list": [None]},
+            {"mu_list": ["x"]},
+            {"k_list": [1.7]},
+            {"p_beta_grid": [0.5, 1.5]},
+            {"p_beta_grid": [-0.1]},
+        ],
     )
     def test_malformed_grid_fails_cleanly(self, tmp_path, capsys, command, override):
         cfg = write_config(tmp_path, "cfg.json", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], **override})

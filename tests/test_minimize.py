@@ -144,6 +144,16 @@ class TestBiasCurve:
             errs = [pt.prob_error for pt in pts]
             assert max(errs) - min(errs) < 1e-9
 
+    @settings(deadline=None, max_examples=60)
+    @given(k=st.integers(1, 300), mu=SPAN, s_gamma=SPAN, inner=st.lists(st.floats(0.0, 1.0), max_size=12))
+    def test_equals_the_minimizer_one_p_at_a_time(self, k, mu, s_gamma, inner):
+        # bias_curve shares one soft-Dice table across p; sd_minimizer builds its own per p
+        grid = [0.0, *inner, 1.0]
+        for pt, p in zip(bias_curve(k, mu, grid, s_gamma=s_gamma), grid):
+            opt = sd_minimizer(scenario(0.0, s_gamma, mu, k, p))
+            err = opt.p_tilde_opt - p
+            assert (pt.p_tilde_opt, pt.prob_error, pt.volume_bias) == (opt.p_tilde_opt, err, mu * s_gamma * err)
+
     def test_no_error_at_certain_probabilities(self):
         for k in (1, 4, 16):
             for mu in (0.25, 1.0, 4.0):
@@ -213,6 +223,27 @@ class TestSwitchPoint:
         for p, sign in ((star - 2 * tol, 1.0), (star + 2 * tol, -1.0)):
             at_0, at_1 = sd_binomial_curve(scenario(s_alpha, s_gamma, mu, k, p), (0.0, 1.0))
             assert sign * (at_1 - at_0) > 0.0, (p, at_1 - at_0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        k=st.integers(1, 2000),
+        mu=st.floats(0.0, 20.0),
+        s_gamma=st.floats(0.0, 10.0),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    def test_equals_a_bisection_over_the_public_curve(self, k, mu, s_gamma, tol):
+        # find_switch_point holds one soft-Dice table across its bisection; this one builds a scenario per step
+        def gap(p):
+            at_0, at_1 = sd_binomial_curve(scenario(0.0, s_gamma, mu, k, p), (0.0, 1.0))
+            return at_1 - at_0
+
+        lo, hi, expected = 0.0, 1.0, None
+        if gap(lo) > 0.0 > gap(hi):
+            while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+            expected = 0.5 * (lo + hi)
+        assert find_switch_point(k, mu, tol, s_gamma) == expected
 
     @settings(deadline=None, max_examples=30)
     @given(k=st.integers(1, 127), mu=st.floats(-2.0, 2.0).map(lambda e: 10.0**e), factor=st.floats(1.0, 2.0))

@@ -263,6 +263,24 @@ class TestExactRouteProperties:
         assert abs(out.value - product_reference(model, pred)) <= 1e-12
         assert out.config_count == 2 ** len(regions)
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        k=st.integers(1, 2000),
+        mu=st.floats(0.0, 20.0),
+        s_gamma=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        p=st.sampled_from([0.0, 1.0]),
+        qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_certain_labels_score_their_own_soft_dice(self, k, mu, s_gamma, p, qs):
+        # a certain p_beta labels every uncertain region alike: one label configuration, no expectation
+        uncertain = k * (mu * s_gamma / k)  # K regions of mu·s_gamma/K, as expand_scenario builds them
+        expected = []
+        for q in qs:
+            label, overlap, pred = p * uncertain + s_gamma, p * uncertain * q + s_gamma, uncertain * q + s_gamma
+            expected.append(1.0 - 2.0 * overlap / (label + pred) if label + pred > 0.0 else 0.0)
+        curve = sd_binomial_curve(scenario(100, s_gamma, mu, k, p), qs)
+        assert np.max(np.abs(curve - np.array(expected))) <= 1e-15
+
 
 class TestPredictionAssignment:
     def test_length_checked_against_model(self):
