@@ -74,8 +74,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, result):
+    """The dataclass ``result`` as indented JSON, its floats at 15 significant digits."""
+    _atomic_write(path, json.dumps(_rounded(asdict(result)), indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
@@ -86,6 +87,8 @@ def _load_config(path: str) -> tuple[dict, Path]:
         raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise CliError(f"config file {path} nests deeper than the JSON decoder can follow")
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must contain a JSON object")
     return cfg, cfg_path.parent
@@ -177,7 +180,7 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     lines = ["k,mu,p_beta,p_tilde,expected_sd,expected_ce"]
     for k in k_list:
         for mu in mu_list:
-            table = _sd_binomial_table(ScenarioSpec(s_alpha, s_gamma, mu, k, 0.0), qs)  # one for every p
+            table = _sd_binomial_table(k, mu, s_gamma, qs)  # one for every p
             for p in p_grid:
                 spec = ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
                 prefix = f"{_fmt(k)},{_fmt(mu)},{_fmt(p)},"
@@ -292,18 +295,31 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     _write_csv(summary_path, ["scenario", "loss", "bias_soft", "bias_hard", "p_boot"], summary_rows)
 
 
-def _read_csv_columns(path: Path, required: list[str]) -> dict[str, list[str]]:
+def _read_csv_columns(path: Path, numeric: list[str], text: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """The ``numeric`` columns of a CSV as finite float arrays and the ``text`` columns as string arrays.
+
+    Every row holds one cell per header column; blank lines are skipped.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [c for c in required if c not in fields]
-            if missing:
-                raise CliError(f"{path} is missing columns: {missing}")
-            rows = list(reader)
+            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
     except FileNotFoundError:
         raise CliError(f"input CSV not found: {path}")
-    return {c: [row[c] for row in rows] for c in fields}
+    except csv.Error as exc:
+        raise CliError(f"{path} is not a readable CSV: {exc}")
+    missing = [c for c in (*numeric, *text) if c not in header]
+    if missing:
+        raise CliError(f"{path} is missing columns: {missing}")
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise CliError(f"{path} data row {i} has {len(row)} cells for {len(header)} columns")
+    cells = {c: [row[j] for row in rows] for j, c in enumerate(header)}  # a repeated name: its last column
+    columns = {c: np.array(cells[c]) for c in text}
+    for c in numeric:
+        columns[c] = np.fromiter(map(float, cells[c]), float, len(rows))
+        if not np.isfinite(columns[c]).all():
+            raise CliError(f"{path} column {c!r} holds a non-finite value")
+    return columns
 
 
 def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
@@ -313,12 +329,8 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     before_path, after_path = (
         _path(cfg, f"profile_{name}_path", f"decile_profile_{name}.csv", out_dir) for name in ("before", "after")
     )
-    cols = _read_csv_columns(input_csv, ["true_volume", "pred_volume", "split"])
-    true = np.array([float(v) for v in cols["true_volume"]])
-    pred = np.array([float(v) for v in cols["pred_volume"]])
-    split = np.array(cols["split"])
-    if not (np.isfinite(true).all() and np.isfinite(pred).all()):
-        raise CliError(f"{input_csv} holds a non-finite volume")
+    cols = _read_csv_columns(input_csv, ["true_volume", "pred_volume"], ("split",))
+    true, pred, split = cols["true_volume"], cols["pred_volume"], cols["split"]
 
     train_mask = split == "train"
     val_mask = split == "val"
@@ -327,7 +339,7 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     fit = fit_calibration(pred[train_mask], true[train_mask])
     corrected = apply_calibration(fit, pred)
 
-    _write_json(fit_path, _rounded(asdict(fit)))
+    _write_json(fit_path, fit)
 
     rows = [[t, p, s, c] for t, p, s, c in zip(true, pred, split, corrected)]
     _write_csv(corrected_path, ["true_volume", "pred_volume", "split", "corrected_volume"], rows)
@@ -347,13 +359,12 @@ def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     path = _path(cfg, "output_path", "bootstrap.json", out_dir)
     if "input_csv" in cfg:
         cols = _read_csv_columns(_path(cfg, "input_csv", None, cfg_dir), ["a", "b"])
-        a = np.array([float(v) for v in cols["a"]])
-        b = np.array([float(v) for v in cols["b"]])
+        a, b = cols["a"], cols["b"]
     else:
         a = np.array(_list(cfg, "a"))
         b = np.array(_list(cfg, "b"))
     result = bootstrap_paired(a, b, n_resamples=n_resamples, seed=seed)
-    _write_json(path, _rounded(asdict(result)))
+    _write_json(path, result)
 
 
 _COMMANDS = {
@@ -389,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         _check_out_dir(out_dir)
         _COMMANDS[args.command](cfg, args.seed, out_dir, cfg_dir)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no text
         return 1
     return 0
 

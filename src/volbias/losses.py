@@ -97,10 +97,6 @@ class VolumeErrorReport:
     abs_delta_v: float
     relative_abs_delta_v: float | None
 
-    @property
-    def relatives_defined(self) -> bool:
-        return self.relative_delta_v is not None
-
 
 def _ce_terms(p, q):
     """Expected CE per entry, -p log q - (1-p) log(1-q), with q clamped by LOG_EPS."""

@@ -115,7 +115,7 @@ def bias_curve(k: int, mu: float, p_grid: Sequence[float], s_gamma: float = 1.0)
     """
     # soft-Dice never reads the background, so s_alpha = 0 changes nothing
     specs = [ScenarioSpec(0.0, s_gamma, mu, k, p) for p in p_grid]  # each p is checked
-    table = _sd_binomial_table(ScenarioSpec(0.0, s_gamma, mu, k, 0.0), (0.0, 1.0))  # one for every p
+    table = _sd_binomial_table(k, mu, s_gamma, (0.0, 1.0))  # one for every p
     points = []
     for p, spec in zip(p_grid, specs):
         opt = _endpoint_minimum(_sd_binomial_at(table, spec.p_beta))
@@ -135,8 +135,7 @@ def find_switch_point(k: int, mu: float, tol: float = 1e-6, s_gamma: float = 1.0
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    # one table, held across the bisection; s_alpha = 0 changes nothing, as in bias_curve
-    table = _sd_binomial_table(ScenarioSpec(0.0, s_gamma, mu, k, 0.0), (0.0, 1.0))
+    table = _sd_binomial_table(k, mu, s_gamma, (0.0, 1.0))  # one, held across the bisection
 
     def gap(p: float) -> float:
         at_0, at_1 = _sd_binomial_at(table, p)

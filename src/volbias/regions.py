@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 

@@ -76,7 +76,7 @@ class ExpectedLoss:
             raise ValueError("config_count must be >= 1")
 
 
-def scenario_prediction(model_or_spec: RegionModel | ScenarioSpec, p_tilde_beta: float) -> PredictionAssignment:
+def scenario_prediction(model: RegionModel, p_tilde_beta: float) -> PredictionAssignment:
     """Prediction vector (0, q, ..., q, 1) for a scenario-shaped model.
 
     Background gets 0 and certain foreground gets 1 (their risk-optimal
@@ -84,7 +84,6 @@ def scenario_prediction(model_or_spec: RegionModel | ScenarioSpec, p_tilde_beta:
     """
     if not 0.0 <= p_tilde_beta <= 1.0:
         raise ValueError(f"p_tilde_beta must lie in [0, 1], got {p_tilde_beta}")
-    model = expand_scenario(model_or_spec) if isinstance(model_or_spec, ScenarioSpec) else model_or_spec
     return PredictionAssignment(np.concatenate(([0.0], np.full(len(model) - 2, p_tilde_beta), [1.0])))
 
 
@@ -161,11 +160,12 @@ def sd_binomial_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     entry q of ``p_tilde`` is evaluated in one matrix product. Background
     is predicted 0 and certain foreground 1, their risk-optimal values.
     """
-    return _sd_binomial_at(_sd_binomial_table(spec, p_tilde), spec.p_beta)
+    return _sd_binomial_at(_sd_binomial_table(spec.k_regions, spec.mu, spec.s_gamma, p_tilde), spec.p_beta)
 
 
-def _sd_binomial_table(spec: ScenarioSpec, p_tilde) -> np.ndarray:
+def _sd_binomial_table(k: int, mu: float, s_gamma: float, p_tilde) -> np.ndarray:
     """SD(m, q) with m of the K uncertain regions foreground: K, mu, s_gamma and q fix it, p_beta never."""
+    spec = ScenarioSpec(0.0, s_gamma, mu, k, 0.0)  # checks K, mu and s_gamma; s_alpha and p_beta never enter
     q = _probabilities(p_tilde, "predictions")
     k, volume = spec.k_regions, spec.mu * spec.s_gamma / spec.k_regions
     pred_sum = k * volume * q + spec.s_gamma  # K·volume, as in the label volumes: a certain p_beta = q scores 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SoftMap, _ce_terms, _sd_ratio
+from .losses import SoftMap, _ce_terms, _sd_ratio, threshold, volume_of
 from .regions import RegionModel, sample_labelings
 from .rng import make_rng
 
@@ -90,10 +90,6 @@ class ToyDataset:
         return self.labels.shape[0]
 
     @property
-    def n_regions(self) -> int:
-        return self.region_pixel_counts.size
-
-    @property
     def pixels_per_image(self) -> int:
         return sum(self.region_pixel_counts.tolist())  # Python ints: an int64 sum can wrap
 
@@ -102,13 +98,9 @@ class ToyDataset:
         """Region volumes implied by the materialized pixels."""
         return self.region_pixel_counts / self.pixels_per_unit_volume
 
-    @property
-    def pixels_per_region(self) -> dict[int, int]:
-        return {r: int(c) for r, c in enumerate(self.region_pixel_counts)}
-
     def image_features(self, i: int) -> np.ndarray:
         """One-hot region-identity features of image i, shape (pixels, regions)."""
-        return np.repeat(np.eye(self.n_regions), self.region_pixel_counts, axis=0)
+        return np.repeat(np.eye(len(self.model)), self.region_pixel_counts, axis=0)
 
     def image_pixel_labels(self, i: int) -> np.ndarray:
         """Per-pixel labels of image i, expanded from the region labels."""
@@ -203,7 +195,7 @@ def forward(model: ToyModel, features: np.ndarray) -> SoftMap:
 
 def ce_batch_loss(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean per-pixel cross-entropy over a batch of pixels."""
-    y = sigmoid(np.asarray(features, float) @ model.weights + model.bias)
+    y = forward(model, features).values
     return float(np.mean(_ce_terms(np.asarray(labels, float), y)))
 
 
@@ -216,9 +208,9 @@ def ce_gradient(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> tu
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if features.shape[0] == 0:
+    y = forward(model, features).values
+    if y.size == 0:
         raise ValueError("batch is empty")
-    y = sigmoid(features @ model.weights + model.bias)
     resid = (y - labels) / labels.size
     return features.T @ resid, float(np.sum(resid))
 
@@ -229,7 +221,7 @@ def _sd_image_terms(model: ToyModel, images) -> list[tuple]:
     kept = []
     for features, labels in images:
         features = np.asarray(features, dtype=float)
-        y = sigmoid(features @ model.weights + model.bias)
+        y = forward(model, features).values
         l = np.asarray(labels, float)
         denom = float(l.sum() + y.sum())
         if denom != 0.0:
@@ -416,7 +408,8 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _volume_biases(pred, volumes, labels) -> tuple[float, float]:
     """Soft and thresholded predicted volume minus the mean volume of ``labels``."""
     true_mean = float((labels @ volumes).mean())
-    return float(volumes @ pred - true_mean), float(volumes @ (pred >= 0.5) - true_mean)
+    soft = SoftMap(pred, volumes)
+    return volume_of(soft) - true_mean, volume_of(threshold(soft)) - true_mean
 
 
 def train(

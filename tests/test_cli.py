@@ -434,6 +434,53 @@ class TestDeterminismAndErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["calibrate", "bootstrap"])
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            None,  # the control: blank lines between and after the rows are skipped
+            "drop the last cell",
+            "add a cell",
+            "a cell past the csv module's field limit",
+        ],
+    )
+    def test_ragged_or_oversized_csv_row_fails_cleanly(self, tmp_path, capsys, command, bad_row):
+        header = "true_volume,pred_volume,split" if command == "calibrate" else "a,b"
+        rows = [f"{v},{v + 1}" + (",train" if v % 2 else ",val") * (command == "calibrate") for v in range(1, 25)]
+        if bad_row == "drop the last cell":
+            rows[3] = rows[3].rsplit(",", 1)[0]
+        elif bad_row == "add a cell":
+            rows[3] += ",5"
+        elif bad_row is not None:
+            rows[3] = "1." + "0" * 131072 + rows[3][1:]  # still the number 1 followed by the row's other cells
+        (tmp_path / "input.csv").write_text(header + "\n" + "\n\n".join(rows) + "\n\n")
+        cfg = write_config(tmp_path, "cfg.json", {"input_csv": "input.csv", "n_resamples": 1000})
+        code = run([command, "--config", cfg, "--out", tmp_path / "out"])
+        if bad_row is None:
+            assert code == 0
+            return
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_config_fails_cleanly(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text("[" * 100000 + "]" * 100000)
+        assert run(["risk-curve", "--config", tmp_path / "cfg.json", "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.28 TiB"), MemoryError()])
+    def test_memory_error_fails_cleanly(self, tmp_path, capsys, monkeypatch, exc):
+        def command(*args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "bootstrap", command)
+        cfg = write_config(tmp_path, "cfg.json", {"a": [1, 2], "b": [0, 0]})
+        assert run(["bootstrap", "--config", cfg, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n")
+
     def test_out_below_a_file_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "file").write_text("")
         # the check comes before any work: train-toy must not train a cell

@@ -183,7 +183,6 @@ class TestVolumeErrorReport:
     def test_relatives_undefined_for_empty_truth(self):
         rep = volume_error_report(1.0, 0.0)
         assert rep.relative_delta_v is None and rep.relative_abs_delta_v is None
-        assert not rep.relatives_defined
         assert rep.abs_delta_v == 1.0
 
     @pytest.mark.parametrize(

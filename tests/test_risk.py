@@ -298,5 +298,5 @@ class TestPredictionAssignment:
 
     def test_scenario_prediction_shape(self):
         spec = scenario(100, 1, 4.0, 4, 0.5)
-        pred = scenario_prediction(spec, 0.3)
+        pred = scenario_prediction(expand_scenario(spec), 0.3)
         assert pred.p_pred.tolist() == [0.0, 0.3, 0.3, 0.3, 0.3, 1.0]

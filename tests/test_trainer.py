@@ -124,7 +124,7 @@ class TestGenerateDataset:
         labels = ds.image_pixel_labels(1)
         # all pixels of one region share the region's label
         start = 0
-        for r, c in ds.pixels_per_region.items():
+        for r, c in enumerate(ds.region_pixel_counts):
             assert np.all(labels[start : start + c] == ds.labels[1, r])
             start += c
 
