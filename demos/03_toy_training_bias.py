@@ -7,8 +7,6 @@ per-region probabilities and held-out volume biases against the exact
 risk-minimizing predictions.
 """
 
-import numpy as np
-
 from volbias import (
     ScenarioSpec,
     empirical_volume_bias,

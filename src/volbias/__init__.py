@@ -63,13 +63,8 @@ from .trainer import (
     ToyModel,
     TrainReport,
     TrainingDivergedError,
-    ce_batch_loss,
-    ce_gradient,
     empirical_volume_bias,
-    forward,
     generate_dataset,
-    sd_batch_loss,
-    sd_gradient,
     train,
 )
 

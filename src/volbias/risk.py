@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _ce_terms, _probabilities, _sd_ratio
-from .regions import RegionModel, ScenarioSpec, expand_scenario
+from .regions import RegionModel, ScenarioSpec
 
 __all__ = [
     "MAX_UNCERTAIN_REGIONS",
@@ -107,12 +107,13 @@ def ce_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     """Expected cross-entropy of a scenario at every shared uncertain prediction.
 
     The closed form of :func:`expected_ce` for the predictions
-    (0, q, ..., q, 1), one column per entry q of ``p_tilde``.
+    (0, q, ..., q, 1), one entry per q of ``p_tilde``: background and
+    certain foreground are predicted exactly, and the K uncertain regions
+    add up to one region of volume mu * s_gamma.
     """
     q = _probabilities(p_tilde, "predictions")
-    model = expand_scenario(spec)
-    preds = np.vstack((np.zeros(q.size), np.broadcast_to(q, (len(model) - 2, q.size)), np.ones(q.size)))
-    return model.volumes @ _ce_terms(model.probabilities[:, None], preds)
+    certain = spec.s_alpha * _ce_terms(0.0, 0.0) + spec.s_gamma * _ce_terms(1.0, 1.0)
+    return certain + spec.mu * spec.s_gamma * _ce_terms(spec.p_beta, q)
 
 
 def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:

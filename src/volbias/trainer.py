@@ -11,15 +11,14 @@ compact region-level representation. ``_objective`` is the only place it
 knows a loss formula: on a label support (the distinct label rows of a
 split and how often each occurs) it returns the expected loss of
 :mod:`volbias.risk` under that empirical label distribution, built from the
-same :mod:`volbias.losses` terms, and its gradient, which equals the
-pixel-level :func:`ce_gradient` / :func:`sd_gradient`. ``_fit`` runs one
-descent loop for both losses.
+same :mod:`volbias.losses` terms, and its gradient. The tests check both
+against a pixel-level reference built on :mod:`volbias.losses`. ``_fit``
+runs one descent loop for both losses.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,6 @@ __all__ = [
     "TrainingDivergedError",
     "sigmoid",
     "generate_dataset",
-    "forward",
-    "ce_batch_loss",
-    "ce_gradient",
-    "sd_batch_loss",
-    "sd_gradient",
     "train",
     "empirical_volume_bias",
 ]
@@ -97,14 +91,6 @@ class ToyDataset:
     def region_volumes(self) -> np.ndarray:
         """Region volumes implied by the materialized pixels."""
         return self.region_pixel_counts / self.pixels_per_unit_volume
-
-    def image_features(self, i: int) -> np.ndarray:
-        """One-hot region-identity features of image i, shape (pixels, regions)."""
-        return np.repeat(np.eye(len(self.model)), self.region_pixel_counts, axis=0)
-
-    def image_pixel_labels(self, i: int) -> np.ndarray:
-        """Per-pixel labels of image i, expanded from the region labels."""
-        return np.repeat(self.labels[i], self.region_pixel_counts)
 
 
 @dataclass
@@ -183,87 +169,6 @@ def generate_dataset(
             f"per unit volume; increase the resolution"
         )
     return ToyDataset(model, counts, sample_labelings(model, n_images, seed), pixels_per_unit_volume)
-
-
-def forward(model: ToyModel, features: np.ndarray) -> SoftMap:
-    """Per-pixel predicted probabilities for a feature matrix."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != model.weights.size:
-        raise ValueError(f"features must have shape (pixels, {model.weights.size})")
-    return SoftMap(sigmoid(features @ model.weights + model.bias))
-
-
-def ce_batch_loss(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean per-pixel cross-entropy over a batch of pixels."""
-    y = forward(model, features).values
-    return float(np.mean(_ce_terms(np.asarray(labels, float), y)))
-
-
-def ce_gradient(model: ToyModel, features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact gradient of :func:`ce_batch_loss` in (weights, bias).
-
-    The per-pixel driving term is prediction minus label, routed through
-    the feature matrix; the sigmoid derivative cancels against the
-    cross-entropy derivative.
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    y = forward(model, features).values
-    if y.size == 0:
-        raise ValueError("batch is empty")
-    resid = (y - labels) / labels.size
-    return features.T @ resid, float(np.sum(resid))
-
-
-def _sd_image_terms(model: ToyModel, images) -> list[tuple]:
-    """(features, predictions, labels, intersection, denominator) of each nonempty image."""
-    images = list(images)
-    kept = []
-    for features, labels in images:
-        features = np.asarray(features, dtype=float)
-        y = forward(model, features).values
-        l = np.asarray(labels, float)
-        denom = float(l.sum() + y.sum())
-        if denom != 0.0:
-            kept.append((features, y, l, float(l @ y), denom))
-    if len(kept) < len(images):
-        warnings.warn(f"skipped {len(images) - len(kept)} image(s) with empty labels and predictions")
-    if not kept:
-        raise ValueError("no image in the batch has any foreground label or prediction")
-    return kept
-
-
-def sd_batch_loss(model: ToyModel, images) -> float:
-    """Mean per-image soft-Dice loss over a batch of (features, labels) pairs.
-
-    Images whose labels and predictions are both entirely zero carry no
-    overlap information; they are skipped with a warning.
-    """
-    *_, inter, denom = zip(*_sd_image_terms(model, images))
-    return float(np.mean(_sd_ratio(np.array(inter), np.array(denom))))
-
-
-def sd_gradient(model: ToyModel, images) -> tuple[np.ndarray, float]:
-    """Exact gradient of :func:`sd_batch_loss` in (weights, bias).
-
-    For each image, d(loss)/d(prediction at pixel j) is
-    -2 * (label_j * denom - intersection) / denom^2, composed with the
-    sigmoid derivative and routed through the features.
-    """
-    grad_w = np.zeros_like(model.weights)
-    grad_b = 0.0
-    kept = _sd_image_terms(model, images)
-    for features, y, l, inter, denom in kept:
-        dl_dy = -2.0 * (l * denom - inter) / denom**2
-        dz = dl_dy * y * (1.0 - y)
-        grad_w += features.T @ dz
-        grad_b += float(dz.sum())
-    return grad_w / len(kept), grad_b / len(kept)
-
-
-# ----------------------------------------------------------------------
-# Region-compact training
-# ----------------------------------------------------------------------
 
 
 def _objective(loss_kind, configs, n, counts, volumes):

@@ -39,7 +39,9 @@ from volbias import (
 from volbias.cli import main as cli_main
 from volbias.losses import LOG_EPS
 from volbias.rng import spawn_seeds
-from volbias.trainer import ToyModel, ce_batch_loss, ce_gradient, sd_batch_loss, sd_gradient
+from volbias.trainer import ToyModel
+
+from pixel_reference import ce_batch_loss, ce_gradient, sd_batch_loss, sd_gradient
 
 K_GRID = (1, 4, 16)
 MU_GRID = (0.25, 1.0, 4.0)

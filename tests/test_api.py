@@ -24,8 +24,15 @@ def test_package_exports_are_listed_in_a_module_all():
     assert sorted(public - listed) == []
 
 
+PACKAGE = Path(volbias.__file__).parent
+TESTS = Path(__file__).parent
+CHECKED_FILES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for folder in (TESTS, TESTS.parent / "demos") for p in folder.glob("*.py")
+)
+
+
 @pytest.mark.parametrize(
-    "path", sorted(p for p in Path(volbias.__file__).parent.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path", CHECKED_FILES, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}"
 )
 def test_every_imported_name_is_used(path):
     # stands in for a linter's unused-import check

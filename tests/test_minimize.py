@@ -11,7 +11,6 @@ from volbias import (
     ce_minimizer,
     expand_scenario,
     expected_ce,
-    expected_sd_binomial,
     find_switch_point,
     scenario_prediction,
     sd_binomial_curve,

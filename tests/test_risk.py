@@ -95,8 +95,9 @@ class TestExpectedCe:
 
     def test_curve_matches_pointwise_closed_form(self):
         qs = np.linspace(0, 1, 101)
-        for k in (1, 4, 16):
-            spec = scenario(100, 1, 2.0, k, 0.3)
+        cases = [(100, k, 0.3) for k in (1, 4, 16, 256, 1000)] + [(100, 4, 0.0), (100, 4, 1.0), (0, 4, 0.3)]
+        for s_alpha, k, p in cases:
+            spec = scenario(s_alpha, 1, 2.0, k, p)
             model = expand_scenario(spec)
             loop = [expected_ce(model, scenario_prediction(model, q)).value for q in qs]
             np.testing.assert_allclose(ce_curve(spec, qs), loop, rtol=1e-13, atol=0)

@@ -15,21 +15,26 @@ from volbias import (
     RegionModel,
     ScenarioSpec,
     ToyModel,
-    ce_batch_loss,
-    ce_gradient,
     empirical_volume_bias,
     expand_scenario,
     expected_ce,
     expected_sd_exhaustive,
-    forward,
     generate_dataset,
     sample_labeling,
-    sd_batch_loss,
-    sd_gradient,
     sd_minimizer,
     train,
 )
 from volbias.trainer import _fit, _objective, sigmoid
+
+from pixel_reference import (
+    ce_batch_loss,
+    ce_gradient,
+    forward,
+    image_features,
+    image_pixel_labels,
+    sd_batch_loss,
+    sd_gradient,
+)
 
 
 def scenario(s_alpha, s_gamma, mu, k, p):
@@ -118,10 +123,10 @@ class TestGenerateDataset:
     def test_pixel_materialization_is_consistent(self):
         model = expand_scenario(scenario(2, 1, 1.0, 2, 0.5))
         ds = generate_dataset(model, 3, 4, seed=3)
-        feats = ds.image_features(0)
+        feats = image_features(ds)
         assert feats.shape == (ds.pixels_per_image, len(model))
         assert np.all(feats.sum(axis=1) == 1.0)
-        labels = ds.image_pixel_labels(1)
+        labels = image_pixel_labels(ds, 1)
         # all pixels of one region share the region's label
         start = 0
         for r, c in enumerate(ds.region_pixel_counts):
@@ -194,16 +199,6 @@ class TestSdGradient:
         grad_w, grad_b = sd_gradient(model, images)
         assert np.linalg.norm(np.append(grad_w, grad_b)) < 1e-6
 
-    def test_empty_image_skipped_with_warning(self):
-        # weights low enough that the sigmoid underflows to exactly 0
-        model = ToyModel(np.array([-800.0, -800.0]), 0.0)
-        good = (np.eye(2), np.array([1.0, 0.0]))
-        empty = (np.eye(2), np.array([0.0, 0.0]))
-        with pytest.warns(UserWarning, match="skipped"):
-            sd_gradient(model, [good, empty])
-        with pytest.warns(UserWarning, match="skipped"), pytest.raises(ValueError):
-            sd_batch_loss(model, [empty])
-
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(321)
         for _ in range(30):
@@ -221,40 +216,47 @@ class TestSdGradient:
 class TestCompactPathMatchesPixelPath:
     """The trainer's region-level math must equal the pixel-level ops."""
 
-    def test_ce_loss_and_raw_gradient_agree(self):
-        model_spec = expand_scenario(scenario(3, 1, 1.0, 2, 0.5))
-        ds = generate_dataset(model_spec, 6, 4, seed=5)
-        w = np.random.default_rng(9).normal(size=len(model_spec))
-        model = ToyModel(w, 0.2)
+    @staticmethod
+    def assert_paths_agree(ds, model, loss_kind):
+        features = image_features(ds)
+        if loss_kind == "ce":
+            feats = np.tile(features, (ds.n_images, 1))
+            labels = np.concatenate([image_pixel_labels(ds, i) for i in range(ds.n_images)])
+            pixel_loss = ce_batch_loss(model, feats, labels)
+            pixel_grad_w, pixel_grad_b = ce_gradient(model, feats, labels)
+        else:
+            images = [(features, image_pixel_labels(ds, i)) for i in range(ds.n_images)]
+            pixel_loss = sd_batch_loss(model, images)
+            pixel_grad_w, pixel_grad_b = sd_gradient(model, images)
 
-        feats = np.vstack([ds.image_features(i) for i in range(ds.n_images)])
-        labels = np.concatenate([ds.image_pixel_labels(i) for i in range(ds.n_images)])
-        pixel_loss = ce_batch_loss(model, feats, labels)
-        pixel_grad_w, pixel_grad_b = ce_gradient(model, feats, labels)
-
-        loss_at, grad_w_at = objective_of(ds, "ce")
-        y = sigmoid(w + 0.2)
+        loss_at, grad_w_at = objective_of(ds, loss_kind)
+        y = sigmoid(model.weights + model.bias)
         assert loss_at(y) == pytest.approx(pixel_loss, abs=1e-12)
         compact_grad_w = grad_w_at(y)
         assert np.allclose(compact_grad_w, pixel_grad_w, atol=1e-12)
         assert float(compact_grad_w.sum()) == pytest.approx(pixel_grad_b, abs=1e-12)
+
+    def test_ce_loss_and_raw_gradient_agree(self):
+        model_spec = expand_scenario(scenario(3, 1, 1.0, 2, 0.5))
+        ds = generate_dataset(model_spec, 6, 4, seed=5)
+        w = np.random.default_rng(9).normal(size=len(model_spec))
+        self.assert_paths_agree(ds, ToyModel(w, 0.2), "ce")
 
     def test_sd_loss_and_raw_gradient_agree(self):
         model_spec = expand_scenario(scenario(3, 1, 1.0, 2, 0.5))
         ds = generate_dataset(model_spec, 6, 4, seed=6)
         w = np.random.default_rng(10).normal(size=len(model_spec))
-        model = ToyModel(w, -0.1)
+        self.assert_paths_agree(ds, ToyModel(w, -0.1), "sd")
 
-        images = [(ds.image_features(i), ds.image_pixel_labels(i)) for i in range(ds.n_images)]
-        pixel_loss = sd_batch_loss(model, images)
-        pixel_grad_w, pixel_grad_b = sd_gradient(model, images)
-
-        loss_at, grad_w_at = objective_of(ds, "sd")
-        y = sigmoid(w - 0.1)
-        assert loss_at(y) == pytest.approx(pixel_loss, abs=1e-12)
-        compact_grad_w = grad_w_at(y)
-        assert np.allclose(compact_grad_w, pixel_grad_w, atol=1e-12)
-        assert float(compact_grad_w.sum()) == pytest.approx(pixel_grad_b, abs=1e-12)
+    def test_sd_empty_images_score_zero_and_count(self):
+        # no certain foreground and predictions underflowing to exactly 0:
+        # the images with no foreground label have an empty soft-Dice denominator
+        model_spec = RegionModel((Region(2.0, 0.0), Region(1.0, 0.5), Region(1.0, 0.5)))
+        ds = generate_dataset(model_spec, 8, 1, seed=1)
+        model = ToyModel(np.full(3, -800.0), 0.0)
+        assert 0 < np.count_nonzero(ds.labels.sum(axis=1) == 0) < ds.n_images
+        self.assert_paths_agree(ds, model, "sd")
+        assert objective_of(ds, "sd")[0](sigmoid(model.weights)) == pytest.approx(0.875, abs=1e-12)
 
 
 # (volume, foreground probability, prediction) of one region
