@@ -118,14 +118,18 @@ class TrainReport:
     final_loss: float
     per_region_pred: np.ndarray
     epochs_run: int
-    stop_reason: str  # "plateau", "saturated" or "max_epochs"; see _fit
+    stop_reason: str  # "plateau", "saturated", "stationary" (CE only) or "max_epochs"; see _fit
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
 
     @property
     def converged(self) -> bool:
-        """The run stopped on its own, by plateau or saturation, not at the epoch cap."""
+        """The run stopped on its own, not at the epoch cap.
+
+        It stopped by plateau, by saturation, or, for cross-entropy, at its
+        stationary point, judged in probability and in volume.
+        """
         return self.stop_reason != "max_epochs"
 
     def to_json(self) -> str:
@@ -213,6 +217,12 @@ _ADAM_EPS = 1e-8
 # window has saturated: soft-Dice drives them to an endpoint of [0, 1].
 _SATURATION_TOL = 1e-6
 
+# A cross-entropy run is stationary once every region's prediction is within
+# this of its train-split label frequency, both in probability and in volume:
+# a residual in probability alone would let the large certain background
+# carry a volume bias of its volume times this.
+_STATIONARY_TOL = 1e-4
+
 
 def _fit(
     counts: np.ndarray,
@@ -238,16 +248,24 @@ def _fit(
     prediction is compared with the one at the previous check; the run
     stops when no entry moved by ``_SATURATION_TOL`` or more
     (``"saturated"``), as soft-Dice runs do once their predictions reach
-    an endpoint. Otherwise it ends after ``max_epochs`` (``"max_epochs"``).
-    The last iterate and its prediction are returned with the stop reason:
-    under deterministic full-batch descent it is the most-trained model,
-    and selecting an earlier snapshot by validation loss would drag the
-    predictions toward the validation split's label frequencies.
+    an endpoint. A cross-entropy run also stops at its stationary point
+    (``"stationary"``): checked every epoch, before the step, once every
+    region's residual y - mean_l against its train-split label frequency
+    is below ``_STATIONARY_TOL`` both in probability and in volume (times
+    the region's volume). The residual is read off the CE gradient, which
+    is ``(y - mean_l) * counts / n_pixels``. Otherwise the run ends after
+    ``max_epochs`` (``"max_epochs"``). The last iterate and its prediction
+    are returned with the stop reason: under deterministic full-batch
+    descent it is the most-trained model, and selecting an earlier snapshot
+    by validation loss would drag the predictions toward the validation
+    split's label frequencies.
     """
     counts = counts.astype(float)
     volumes = counts / pixels_per_unit_volume
     _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), counts, volumes)
     val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
+    # |grad_w| times this is max(|y - mean_l|, |y - mean_l| * volume), region by region
+    stationary_scale = counts.sum() / counts * np.maximum(volumes, 1.0) if loss_kind == "ce" else None
 
     theta = np.zeros(counts.size + 1) if init is None else np.append(init.weights, init.bias)
     if theta.size != counts.size + 1:
@@ -282,6 +300,9 @@ def _fit(
                 stop_reason = "saturated"
                 break
             checked = y
+        if stationary_scale is not None and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
+            stop_reason = "stationary"
+            break
         g[:-1] = grad_w
         g[-1] = grad_w.sum()
         m1 *= _ADAM_B1
@@ -332,9 +353,12 @@ def train(
     permutation. Optimization is deterministic full-batch descent with
     adaptive moment scaling (see :func:`_fit`); the validation loss drives
     the plateau schedule and its stopping rule, a run also stops once its
-    predictions have saturated, the last iterate is the trained model, and
-    soft and thresholded volume biases are measured on the test images.
-    The report's ``stop_reason`` says which rule ended the run.
+    predictions have saturated, a cross-entropy run stops at its stationary
+    point, where every region's prediction matches its train-split label
+    frequency both in probability and in volume, the last iterate is the
+    trained model, and soft and thresholded volume biases are measured on
+    the test images. The report's ``stop_reason`` says which rule ended the
+    run.
     """
     if loss_kind not in DEFAULT_LR:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")

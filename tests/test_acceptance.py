@@ -75,6 +75,7 @@ class SweepCell:
     biases_soft: list
     biases_hard: list
     train_freqs: list  # per replicate: train-split empirical frequencies
+    stop_reasons: list
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ def training_sweep():
                 min_vol = min(r.volume for r in model.regions if r.volume > 0)
                 ppuv = max(16, math.ceil(1.0 / min_vol))
                 for loss_kind in ("ce", "sd"):
-                    cell = SweepCell(k, mu, p, loss_kind, [], [], [], [])
+                    cell = SweepCell(k, mu, p, loss_kind, [], [], [], [], [])
                     lr, epochs = (0.1, 2500) if loss_kind == "ce" else (0.1, 3000)
                     for rep, seed in enumerate(spawn_seeds((SWEEP_SEED, k, int(4 * mu), int(4 * p)), N_SEEDS)):
                         ds = generate_dataset(model, N_IMAGES, ppuv, seed)
@@ -101,6 +102,7 @@ def training_sweep():
                         cell.biases_soft.append(report.bias_soft)
                         cell.biases_hard.append(report.bias_hard)
                         cell.train_freqs.append(ds.labels[i_train].mean(axis=0))
+                        cell.stop_reasons.append(report.stop_reason)
                     cells[(k, mu, p, loss_kind)] = cell
     return cells, time.monotonic() - t0
 
@@ -266,6 +268,7 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
     assert elapsed < 300.0, f"training sweep took {elapsed:.0f}s"
 
     ce_worst = 0.0
+    ce_capped = 0
     sd_hits = 0
     sd_total = 0
     sign_hits = 0
@@ -277,6 +280,7 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
             pred = cell.preds[rep]
             if loss_kind == "ce":
                 ce_worst = max(ce_worst, float(np.abs(pred - cell.train_freqs[rep]).max()))
+                ce_capped += cell.stop_reasons[rep] == "max_epochs"
             else:
                 sd_total += 1
                 beta = pred[1:-1]
@@ -286,6 +290,7 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
                 if np.sign(cell.biases_soft[rep]) == np.sign(theory_bias):
                     sign_hits += 1
     assert ce_worst < 0.02, f"worst CE deviation from train frequencies {ce_worst:.4f}"
+    assert ce_capped == 0, f"{ce_capped} CE runs stopped at the epoch cap"
     assert sd_hits >= 0.95 * sd_total, f"SD matched the argmin in only {sd_hits}/{sd_total} cells"
     assert sign_hits >= 0.95 * sign_total, f"bias sign matched theory in only {sign_hits}/{sign_total} cells"
     ok(

@@ -24,7 +24,7 @@ from volbias import (
     sd_minimizer,
     train,
 )
-from volbias.trainer import _fit, _objective, sigmoid
+from volbias.trainer import _fit, _objective, _split_indices, sigmoid
 
 from pixel_reference import (
     ce_batch_loss,
@@ -446,7 +446,7 @@ class TestTraining:
 
 
 class TestStopping:
-    """Why and when a run stops: plateau, saturation or the epoch cap."""
+    """Why and when a run stops: plateau, saturation, the CE stationary point or the epoch cap."""
 
     @staticmethod
     def dataset(k):
@@ -463,6 +463,21 @@ class TestStopping:
         more = train(ds, "sd", max_epochs=3000, patience=200, seed=13, init=report.model)
         assert np.abs(more.per_region_pred - report.per_region_pred).max() < 1e-6
         assert more.stop_reason == "saturated" and more.epochs_run == 201
+
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_ce_stops_when_stationary(self, k):
+        ds = self.dataset(k)
+        report = train(ds, "ce", max_epochs=3000, patience=200, seed=13)
+        assert report.stop_reason == "stationary" and report.converged
+        assert report.epochs_run < 3000
+        i_train, _, _ = _split_indices(ds.n_images, 13)
+        residual = np.abs(report.per_region_pred - ds.labels[i_train].mean(axis=0))
+        assert residual.max() < 1e-4
+        # in volume too: the certain background has volume 100
+        assert (residual * ds.region_volumes).max() < 1e-4
+        # the run stopped before its Adam step, so a warm restart is stationary at once
+        more = train(ds, "ce", max_epochs=3000, patience=200, seed=13, init=report.model)
+        assert more.stop_reason == "stationary" and more.epochs_run == 1
 
     def test_ce_stops_by_plateau(self):
         report = train(self.dataset(1), "ce", max_epochs=3000, patience=200, seed=13)
