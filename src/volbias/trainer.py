@@ -118,7 +118,7 @@ class TrainReport:
     final_loss: float
     per_region_pred: np.ndarray
     epochs_run: int
-    stop_reason: str  # "plateau", "saturated", "stationary" (CE only) or "max_epochs"; see _fit
+    stop_reason: str  # "saturated", "stationary" (CE only) or "max_epochs"; see _fit
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
@@ -127,8 +127,8 @@ class TrainReport:
     def converged(self) -> bool:
         """The run stopped on its own, not at the epoch cap.
 
-        It stopped by plateau, by saturation, or, for cross-entropy, at its
-        stationary point, judged in probability and in volume.
+        It stopped by saturation or, for cross-entropy, at its stationary
+        point, judged in probability and in volume.
         """
         return self.stop_reason != "max_epochs"
 
@@ -224,6 +224,7 @@ _SATURATION_TOL = 1e-6
 _STATIONARY_TOL = 1e-4
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged run is refused after the loop, not warned about
 def _fit(
     counts: np.ndarray,
     pixels_per_unit_volume: int,
@@ -242,10 +243,8 @@ def _fit(
     batch gradients scale each region by its pixel share, which would stall
     small regions; per-parameter moment normalization makes every logit
     move at a comparable rate without touching the stationary points. The
-    learning rate is divided by five for every ``patience`` epochs without
-    validation improvement and the run stops after two such windows
-    (``"plateau"``). Every ``patience`` epochs, from epoch 1 on, the
-    prediction is compared with the one at the previous check; the run
+    learning rate is constant. Every ``patience`` epochs, from epoch 1 on,
+    the prediction is compared with the one at the previous check; the run
     stops when no entry moved by ``_SATURATION_TOL`` or more
     (``"saturated"``), as soft-Dice runs do once their predictions reach
     an endpoint. A cross-entropy run also stops at its stationary point
@@ -254,16 +253,14 @@ def _fit(
     is below ``_STATIONARY_TOL`` both in probability and in volume (times
     the region's volume). The residual is read off the CE gradient, which
     is ``(y - mean_l) * counts / n_pixels``. Otherwise the run ends after
-    ``max_epochs`` (``"max_epochs"``). The last iterate and its prediction
-    are returned with the stop reason: under deterministic full-batch
-    descent it is the most-trained model, and selecting an earlier snapshot
-    by validation loss would drag the predictions toward the validation
-    split's label frequencies.
+    ``max_epochs`` (``"max_epochs"``). A run whose parameters are no longer
+    finite raises :class:`TrainingDivergedError`. The last iterate and its
+    prediction are returned with the stop reason and their loss on
+    ``val_labels``; the validation rows take no part in the descent.
     """
     counts = counts.astype(float)
     volumes = counts / pixels_per_unit_volume
     _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), counts, volumes)
-    val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
     # |grad_w| times this is max(|y - mean_l|, |y - mean_l| * volume), region by region
     stationary_scale = counts.sum() / counts * np.maximum(volumes, 1.0) if loss_kind == "ce" else None
 
@@ -273,28 +270,11 @@ def _fit(
     # the step is taken in place, in the operation order of
     # m2 = B2 * m2 + ((1 - B2) * g) * g and theta -= (lr * hat1) / (sqrt(hat2) + eps)
     g, m1, m2, step, scratch = (np.zeros_like(theta) for _ in range(5))
-    best_val = np.inf
-    since_improvement = 0
     checked = None
     stop_reason = "max_epochs"
     for epoch in range(1, max_epochs + 1):
         y = sigmoid(theta[:-1] + theta[-1])
         grad_w = grad_w_at(y)
-        val_loss = val_loss_at(y)
-        if not np.isfinite(val_loss):
-            raise TrainingDivergedError(
-                f"{loss_kind} training diverged at epoch {epoch}: validation loss {val_loss}"
-            )
-        if val_loss < best_val - 1e-12:
-            best_val = val_loss
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement % patience == 0:
-                lr /= 5.0
-            if since_improvement >= 2 * patience:
-                stop_reason = "plateau"
-                break
         if (epoch - 1) % patience == 0:
             if checked is not None and np.abs(y - checked).max() < _SATURATION_TOL:
                 stop_reason = "saturated"
@@ -319,7 +299,10 @@ def _fit(
         scratch += _ADAM_EPS
         step /= scratch
         theta -= step
+    if not np.all(np.isfinite(theta)):
+        raise TrainingDivergedError(f"{loss_kind} training diverged: non-finite parameters after epoch {epoch}")
     y = sigmoid(theta[:-1] + theta[-1])
+    val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
     return theta[:-1], float(theta[-1]), epoch, stop_reason, val_loss_at(y), y
 
 
@@ -351,14 +334,15 @@ def train(
 
     Images are split 60/20/20 into train/validation/test by a seeded
     permutation. Optimization is deterministic full-batch descent with
-    adaptive moment scaling (see :func:`_fit`); the validation loss drives
-    the plateau schedule and its stopping rule, a run also stops once its
-    predictions have saturated, a cross-entropy run stops at its stationary
-    point, where every region's prediction matches its train-split label
-    frequency both in probability and in volume, the last iterate is the
-    trained model, and soft and thresholded volume biases are measured on
-    the test images. The report's ``stop_reason`` says which rule ended the
-    run.
+    adaptive moment scaling and a constant learning rate (see
+    :func:`_fit`). A run stops once its predictions have moved by less
+    than 1e-6 over a ``patience`` window, and a cross-entropy run stops at
+    its stationary point, where every region's prediction matches its
+    train-split label frequency both in probability and in volume. The
+    last iterate is the trained model; its loss on the validation images
+    is the report's ``final_loss``, and soft and thresholded volume biases
+    are measured on the test images. The report's ``stop_reason`` says
+    which rule ended the run.
     """
     if loss_kind not in DEFAULT_LR:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")

@@ -76,6 +76,7 @@ class SweepCell:
     biases_hard: list
     train_freqs: list  # per replicate: train-split empirical frequencies
     stop_reasons: list
+    region_volumes: list  # per replicate: the dataset's region volumes
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def training_sweep():
                 min_vol = min(r.volume for r in model.regions if r.volume > 0)
                 ppuv = max(16, math.ceil(1.0 / min_vol))
                 for loss_kind in ("ce", "sd"):
-                    cell = SweepCell(k, mu, p, loss_kind, [], [], [], [], [])
+                    cell = SweepCell(k, mu, p, loss_kind, [], [], [], [], [], [])
                     lr, epochs = (0.1, 2500) if loss_kind == "ce" else (0.1, 3000)
                     for rep, seed in enumerate(spawn_seeds((SWEEP_SEED, k, int(4 * mu), int(4 * p)), N_SEEDS)):
                         ds = generate_dataset(model, N_IMAGES, ppuv, seed)
@@ -103,6 +104,7 @@ def training_sweep():
                         cell.biases_hard.append(report.bias_hard)
                         cell.train_freqs.append(ds.labels[i_train].mean(axis=0))
                         cell.stop_reasons.append(report.stop_reason)
+                        cell.region_volumes.append(ds.region_volumes)
                     cells[(k, mu, p, loss_kind)] = cell
     return cells, time.monotonic() - t0
 
@@ -268,6 +270,7 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
     assert elapsed < 300.0, f"training sweep took {elapsed:.0f}s"
 
     ce_worst = 0.0
+    ce_worst_volume = 0.0
     ce_capped = 0
     sd_hits = 0
     sd_total = 0
@@ -279,7 +282,9 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
         for rep in range(N_SEEDS):
             pred = cell.preds[rep]
             if loss_kind == "ce":
-                ce_worst = max(ce_worst, float(np.abs(pred - cell.train_freqs[rep]).max()))
+                residual = np.abs(pred - cell.train_freqs[rep])
+                ce_worst = max(ce_worst, float(residual.max()))
+                ce_worst_volume = max(ce_worst_volume, float((residual * cell.region_volumes[rep]).max()))
                 ce_capped += cell.stop_reasons[rep] == "max_epochs"
             else:
                 sd_total += 1
@@ -290,12 +295,13 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
                 if np.sign(cell.biases_soft[rep]) == np.sign(theory_bias):
                     sign_hits += 1
     assert ce_worst < 0.02, f"worst CE deviation from train frequencies {ce_worst:.4f}"
+    assert ce_worst_volume < 1e-4, f"worst CE volume residual {ce_worst_volume:.2e}"
     assert ce_capped == 0, f"{ce_capped} CE runs stopped at the epoch cap"
     assert sd_hits >= 0.95 * sd_total, f"SD matched the argmin in only {sd_hits}/{sd_total} cells"
     assert sign_hits >= 0.95 * sign_total, f"bias sign matched theory in only {sign_hits}/{sign_total} cells"
     ok(
         8,
-        f"CE within {ce_worst:.3f} of frequencies; SD at argmin in {sd_hits}/{sd_total}; "
+        f"CE within {ce_worst:.3f} of frequencies and {ce_worst_volume:.1e} in volume; SD at argmin in {sd_hits}/{sd_total}; "
         f"sign match {sign_hits}/{sign_total}; sweep {elapsed:.0f}s",
     )
 

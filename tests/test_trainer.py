@@ -14,7 +14,9 @@ from volbias import (
     Region,
     RegionModel,
     ScenarioSpec,
+    ToyDataset,
     ToyModel,
+    TrainingDivergedError,
     empirical_volume_bias,
     expand_scenario,
     expected_ce,
@@ -446,7 +448,7 @@ class TestTraining:
 
 
 class TestStopping:
-    """Why and when a run stops: plateau, saturation, the CE stationary point or the epoch cap."""
+    """Why and when a run stops: saturation, the CE stationary point, the epoch cap or divergence."""
 
     @staticmethod
     def dataset(k):
@@ -464,7 +466,7 @@ class TestStopping:
         assert np.abs(more.per_region_pred - report.per_region_pred).max() < 1e-6
         assert more.stop_reason == "saturated" and more.epochs_run == 201
 
-    @pytest.mark.parametrize("k", [4, 16])
+    @pytest.mark.parametrize("k", [1, 4, 16])
     def test_ce_stops_when_stationary(self, k):
         ds = self.dataset(k)
         report = train(ds, "ce", max_epochs=3000, patience=200, seed=13)
@@ -479,11 +481,6 @@ class TestStopping:
         more = train(ds, "ce", max_epochs=3000, patience=200, seed=13, init=report.model)
         assert more.stop_reason == "stationary" and more.epochs_run == 1
 
-    def test_ce_stops_by_plateau(self):
-        report = train(self.dataset(1), "ce", max_epochs=3000, patience=200, seed=13)
-        assert report.stop_reason == "plateau" and report.converged
-        assert report.epochs_run < 3000
-
     def test_cap_below_patience_reports_max_epochs(self):
         report = train(self.dataset(4), "sd", max_epochs=150, patience=200, seed=13)
         assert report.stop_reason == "max_epochs" and not report.converged
@@ -494,6 +491,24 @@ class TestStopping:
         report = train(ds, "sd", max_epochs=3000, patience=200, seed=13)
         more = train(ds, "sd", max_epochs=3000, patience=1, seed=13, init=report.model)
         assert more.stop_reason == "saturated" and more.epochs_run == 2
+
+    @pytest.mark.parametrize("loss_kind", ["ce", "sd"])
+    def test_diverged_run_raises(self, loss_kind):
+        with pytest.raises(TrainingDivergedError, match="diverged"):
+            train(self.dataset(1), loss_kind, lr=1e308, max_epochs=3000, seed=13)
+
+    def test_validation_rows_do_not_steer_training(self):
+        ds = self.dataset(1)
+        labels = ds.labels.copy()
+        i_val = _split_indices(ds.n_images, 13)[1]
+        labels[i_val, 1:-1] = 1.0 - labels[i_val, 1:-1]
+        flipped = ToyDataset(ds.model, ds.region_pixel_counts, labels, ds.pixels_per_unit_volume)
+        for loss_kind in ("ce", "sd"):
+            a = train(ds, loss_kind, max_epochs=3000, patience=200, seed=13)
+            b = train(flipped, loss_kind, max_epochs=3000, patience=200, seed=13)
+            assert np.array_equal(a.per_region_pred, b.per_region_pred)
+            assert (a.epochs_run, a.stop_reason) == (b.epochs_run, b.stop_reason)
+            assert a.final_loss != b.final_loss
 
 
 class TestEmpiricalVolumeBias:
