@@ -208,9 +208,14 @@ def _objective(loss_kind, configs, n, counts, volumes):
 
 
 # Full-batch moment estimates carry no sampling noise, so a short
-# second-moment memory is safe and lets saturated logits keep moving.
+# second-moment memory is safe and lets saturated logits keep moving. A
+# logit in a sigmoid's tail has a gradient that decays exponentially as it
+# moves, and the second moment remembers the larger past gradients: Adam then
+# moves it by at most about -ln(_ADAM_B2) / 2 per epoch, however large the
+# learning rate (0.026 here, 0.005 at 0.99). Both stop rules wait on such
+# logits, e.g. the CE background driven to y < 1e-6, a logit near -13.8.
 _ADAM_B1 = 0.9
-_ADAM_B2 = 0.99
+_ADAM_B2 = 0.95
 _ADAM_EPS = 1e-8
 
 # A run whose predictions all moved by less than this over one patience
@@ -254,15 +259,20 @@ def _fit(
     the region's volume). The residual is read off the CE gradient, which
     is ``(y - mean_l) * counts / n_pixels``. Otherwise the run ends after
     ``max_epochs`` (``"max_epochs"``). A run whose parameters are no longer
-    finite raises :class:`TrainingDivergedError`. The last iterate and its
-    prediction are returned with the stop reason and their loss on
-    ``val_labels``; the validation rows take no part in the descent.
+    finite raises :class:`TrainingDivergedError`, at the latest at the next
+    saturation check. The last iterate and its prediction are returned with
+    the stop reason and their loss on ``val_labels``; the validation rows
+    take no part in the descent.
     """
     counts = counts.astype(float)
     volumes = counts / pixels_per_unit_volume
     _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), counts, volumes)
     # |grad_w| times this is max(|y - mean_l|, |y - mean_l| * volume), region by region
-    stationary_scale = counts.sum() / counts * np.maximum(volumes, 1.0) if loss_kind == "ce" else None
+    stationary_scale = counts.sum() / counts * np.maximum(volumes, 1.0)
+    # a stationary run has |g[-1]| <= sum |grad_w| < _STATIONARY_TOL * sum(1 / stationary_scale), so the
+    # bias gradient, at twice that bound to leave rounding no say, rules out most epochs before the full
+    # check; a bound of 0 rules out every SD epoch
+    stationary_bound = 2.0 * _STATIONARY_TOL * (1.0 / stationary_scale).sum() if loss_kind == "ce" else 0.0
 
     theta = np.zeros(counts.size + 1) if init is None else np.append(init.weights, init.bias)
     if theta.size != counts.size + 1:
@@ -276,15 +286,17 @@ def _fit(
         y = sigmoid(theta[:-1] + theta[-1])
         grad_w = grad_w_at(y)
         if (epoch - 1) % patience == 0:
+            if not np.all(np.isfinite(theta)):
+                break
             if checked is not None and np.abs(y - checked).max() < _SATURATION_TOL:
                 stop_reason = "saturated"
                 break
             checked = y
-        if stationary_scale is not None and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
+        g[-1] = grad_w.sum()
+        if abs(g[-1]) < stationary_bound and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
             stop_reason = "stationary"
             break
         g[:-1] = grad_w
-        g[-1] = grad_w.sum()
         m1 *= _ADAM_B1
         np.multiply(1.0 - _ADAM_B1, g, out=scratch)
         m1 += scratch
@@ -300,7 +312,7 @@ def _fit(
         step /= scratch
         theta -= step
     if not np.all(np.isfinite(theta)):
-        raise TrainingDivergedError(f"{loss_kind} training diverged: non-finite parameters after epoch {epoch}")
+        raise TrainingDivergedError(f"{loss_kind} training diverged: non-finite parameters by epoch {epoch}")
     y = sigmoid(theta[:-1] + theta[-1])
     val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
     return theta[:-1], float(theta[-1]), epoch, stop_reason, val_loss_at(y), y

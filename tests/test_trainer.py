@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,7 +460,8 @@ class TestStopping:
         ds = self.dataset(k)
         report = train(ds, "sd", max_epochs=3000, patience=200, seed=13)
         assert report.stop_reason == "saturated" and report.converged
-        assert report.epochs_run < 3000
+        # within five saturation windows: Adam's short second-moment memory lets the saturating logits move fast
+        assert report.epochs_run <= 1001
         # nothing is left to learn: continuing moves no prediction by the tolerance and
         # stops at the first comparison, one patience window after epoch 1
         more = train(ds, "sd", max_epochs=3000, patience=200, seed=13, init=report.model)
@@ -471,7 +473,8 @@ class TestStopping:
         ds = self.dataset(k)
         report = train(ds, "ce", max_epochs=3000, patience=200, seed=13)
         assert report.stop_reason == "stationary" and report.converged
-        assert report.epochs_run < 3000
+        # the volume-100 background, the last region to meet the rule, needs y < 1e-6
+        assert report.epochs_run < 800
         i_train, _, _ = _split_indices(ds.n_images, 13)
         residual = np.abs(report.per_region_pred - ds.labels[i_train].mean(axis=0))
         assert residual.max() < 1e-4
@@ -494,8 +497,10 @@ class TestStopping:
 
     @pytest.mark.parametrize("loss_kind", ["ce", "sd"])
     def test_diverged_run_raises(self, loss_kind):
-        with pytest.raises(TrainingDivergedError, match="diverged"):
-            train(self.dataset(1), loss_kind, lr=1e308, max_epochs=3000, seed=13)
+        with pytest.raises(TrainingDivergedError, match="diverged") as err:
+            train(self.dataset(1), loss_kind, lr=1e308, max_epochs=3000, patience=200, seed=13)
+        # refused at the first saturation check after the parameters stop being finite, not at the cap
+        assert int(re.search(r"epoch (\d+)", str(err.value)).group(1)) <= 200 + 1
 
     def test_validation_rows_do_not_steer_training(self):
         ds = self.dataset(1)
@@ -529,8 +534,9 @@ class TestEmpiricalVolumeBias:
         assert bias_soft == pytest.approx(0.25, abs=0.07)
 
     def test_no_bias_without_uncertainty(self):
-        # The background residual decays like 1/(lr * epochs) and is
-        # amplified by its volume, so deep saturation needs a long run.
+        # The background's logit, in the sigmoid's tail, moves by at most about
+        # -ln(_ADAM_B2) / 2 per epoch, and its residual is amplified by its
+        # volume, so deep saturation takes hundreds of epochs, well inside the cap.
         for p in (0.0, 1.0):
             spec = scenario(100, 1, 1.0, 1, p)
             ds = generate_dataset(expand_scenario(spec), 600, 10, seed=33)
