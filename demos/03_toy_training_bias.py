@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproducing the volume bias empirically with a trained classifier.
 
-Samples synthetic images from a region model, trains the per-pixel
-logistic classifier with each objective, and compares the learned
+Samples synthetic images from a region model, trains the logistic
+classifier (one weight per region) with each objective, and compares the learned
 per-region probabilities and held-out volume biases against the exact
 risk-minimizing predictions.
 """
@@ -19,7 +19,7 @@ from volbias import (
 
 def run_cell(spec, loss_kind, seed):
     model = expand_scenario(spec)
-    dataset = generate_dataset(model, n_images=2000, pixels_per_unit_volume=16, seed=seed)
+    dataset = generate_dataset(model, n_images=2000, seed=seed)
     report = train(dataset, loss_kind, seed=seed + 1)
     bias_soft, bias_hard = empirical_volume_bias(report, model, n_images=5000, seed=seed + 2)
     return report, bias_soft, bias_hard

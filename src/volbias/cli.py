@@ -23,13 +23,13 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from math import ceil, inf
+from math import inf
 from pathlib import Path
 
 import numpy as np
 
 from .minimize import bias_curve, find_switch_point
-from .regions import RegionModel, ScenarioSpec, _json_number, expand_scenario
+from .regions import ScenarioSpec, _json_number, expand_scenario
 from .risk import _sd_binomial_at, _sd_binomial_table, ce_curve
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
 from .trainer import DEFAULT_LR, TrainingDivergedError, generate_dataset, train
@@ -207,14 +207,6 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     )
 
 
-def _auto_resolution(model: RegionModel) -> int:
-    """Pixels per unit volume, at least 16, that give each nonempty region a pixel."""
-    scale = 1.0 / min(r.volume for r in model.regions if r.volume > 0)
-    if scale == inf:
-        raise ValueError("the smallest region needs more pixels per unit volume than a float holds")
-    return max(16, ceil(scale))
-
-
 def _scenario_id(spec: ScenarioSpec) -> str:
     return (
         f"sa{_fmt(spec.s_alpha)}-sg{_fmt(spec.s_gamma)}-K{spec.k_regions}"
@@ -231,7 +223,6 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     n_images = _number(cfg, "n_images", 1000, _integer, minimum=4)  # the 60/20/20 split keeps a test image
     max_epochs = _number(cfg, "max_epochs", 4000, _integer, minimum=1)
     patience = _number(cfg, "patience", 200, _integer, minimum=1)
-    ppuv = _number(cfg, "pixels_per_unit_volume", None, _integer, minimum=1)  # None: automatic per scenario
     n_resamples = _number(cfg, "n_resamples", 10000, _integer, minimum=1000)  # bootstrap_paired's floor
     lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
     if not all(lr is None or 0 < lr < inf for lr in lr_by_loss.values()):
@@ -254,8 +245,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                     "replicate": rep,
                 }
                 try:
-                    resolution = ppuv if ppuv is not None else _auto_resolution(model)
-                    dataset = generate_dataset(model, n_images, resolution, data_seed)
+                    dataset = generate_dataset(model, n_images, data_seed)
                     report = train(
                         dataset,
                         loss_kind,

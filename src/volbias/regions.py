@@ -190,6 +190,8 @@ def sample_labelings(model: RegionModel, n: int, seed: int) -> np.ndarray:
     always receive their certain label. Deterministic for a fixed seed; the
     first rows do not depend on ``n``.
     """
+    if n < 1:
+        raise ValueError(f"need at least one labeling, got {n}")
     return (make_rng(seed).random((n, len(model))) < model.probabilities).astype(float)
 
 

@@ -1,19 +1,20 @@
 """Desk-scale logistic classifier trained with cross-entropy or soft-Dice.
 
-Synthetic images are sampled from a region model: every pixel carries a
-one-hot feature identifying its region, and all pixels of a region share
-the label drawn for that region. A logistic model on these features is
-exactly expressive enough to realize any per-region prediction, so the
-bias it learns is attributable to the loss alone, not to model capacity.
+Synthetic images are sampled from a region model: an image is one joint
+labeling of the regions, and every voxel of a region shares the label drawn
+for that region. The classifier has one weight per region plus a shared
+bias, exactly expressive enough to realize any per-region prediction, so
+the bias it learns is attributable to the loss alone, not to model
+capacity.
 
-Because pixels within a region are interchangeable, the trainer works on a
-compact region-level representation. ``_objective`` is the only place it
-knows a loss formula: on a label support (the distinct label rows of a
-split and how often each occurs) it returns the expected loss of
-:mod:`volbias.risk` under that empirical label distribution, built from the
-same :mod:`volbias.losses` terms, and its gradient. The tests check both
-against a pixel-level reference built on :mod:`volbias.losses`. ``_fit``
-runs one descent loop for both losses.
+Because the voxels within a region are interchangeable, the trainer works
+on the regions themselves, each weighted by its volume in the model's own
+units. ``_objective`` is the only place it knows a loss formula: on a label
+support (the distinct label rows of a split and how often each occurs) it
+returns the expected loss of :mod:`volbias.risk` under that empirical label
+distribution, built from the same :mod:`volbias.losses` terms, and its
+gradient. The tests check both against a pixel-level reference built on
+:mod:`volbias.losses`. ``_fit`` runs one descent loop for both losses.
 """
 
 from __future__ import annotations
@@ -59,38 +60,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 class ToyDataset:
     """Sampled images in compact region form.
 
-    ``labels`` has one row per image and one column per region; all pixels
-    of region r in image i share ``labels[i, r]``. ``region_pixel_counts``
-    gives the number of pixels materialized per region, shared by all
-    images, and ``pixels_per_unit_volume`` converts pixel counts back into
-    the model's volume units.
+    ``labels`` has one row per image and one column per region of ``model``;
+    region r of image i is labeled ``labels[i, r]`` as a whole and weighs
+    ``model.volumes[r]``. Every region needs a positive volume: a region of
+    volume zero carries no loss, so training could not set its prediction.
     """
 
     model: RegionModel
-    region_pixel_counts: np.ndarray
     labels: np.ndarray
-    pixels_per_unit_volume: int
 
     def __post_init__(self):
-        counts = np.asarray(self.region_pixel_counts, dtype=int)
         labels = np.asarray(self.labels, dtype=float)
-        if labels.ndim != 2 or labels.shape[1] != counts.size or counts.size != len(self.model):
+        if labels.ndim != 2 or labels.shape[1] != len(self.model):
             raise ValueError("inconsistent dataset shapes")
-        object.__setattr__(self, "region_pixel_counts", counts)
+        empty = np.flatnonzero(self.model.volumes == 0.0).tolist()
+        if empty:
+            raise ValueError(f"regions {empty} have zero volume; a trained region needs a positive volume")
         object.__setattr__(self, "labels", labels)
 
     @property
     def n_images(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def pixels_per_image(self) -> int:
-        return sum(self.region_pixel_counts.tolist())  # Python ints: an int64 sum can wrap
-
-    @property
-    def region_volumes(self) -> np.ndarray:
-        """Region volumes implied by the materialized pixels."""
-        return self.region_pixel_counts / self.pixels_per_unit_volume
 
 
 @dataclass
@@ -145,50 +135,24 @@ class TrainReport:
         )
 
 
-def generate_dataset(
-    model: RegionModel, n_images: int, pixels_per_unit_volume: int, seed: int
-) -> ToyDataset:
-    """Sample a dataset of region-labeled images from a region model.
-
-    Each region is materialized as round(volume * pixels_per_unit_volume)
-    pixels; each image draws one independent joint labeling. A region that
-    would round to zero pixels, or to more than an int64 holds, cannot be
-    represented at this resolution.
-    """
-    if n_images < 1:
-        raise ValueError("need at least one image")
-    if pixels_per_unit_volume < 1:
-        raise ValueError("pixels_per_unit_volume must be >= 1")
-    try:
-        counts = np.array([round(r.volume * pixels_per_unit_volume) for r in model.regions], dtype=int)
-    except OverflowError:
-        raise ValueError(
-            f"region pixel counts overflow at {pixels_per_unit_volume} pixels per unit volume; "
-            f"decrease the resolution"
-        ) from None
-    if np.any(counts == 0):
-        bad = np.flatnonzero(counts == 0).tolist()
-        raise ValueError(
-            f"regions {bad} round to zero pixels at {pixels_per_unit_volume} pixels "
-            f"per unit volume; increase the resolution"
-        )
-    return ToyDataset(model, counts, sample_labelings(model, n_images, seed), pixels_per_unit_volume)
+def generate_dataset(model: RegionModel, n_images: int, seed: int) -> ToyDataset:
+    """Sample ``n_images`` images from a region model, each one independent joint labeling."""
+    return ToyDataset(model, sample_labelings(model, n_images, seed))
 
 
-def _objective(loss_kind, configs, n, counts, volumes):
+def _objective(loss_kind, configs, n, volumes):
     """``(loss(y), grad_w(y))`` on the label support ``configs``, row i seen ``n[i]`` times.
 
-    ``counts`` and ``volumes`` are the region pixel counts and volumes. The
-    raw batch gradient ``grad_w`` is in the region weights; its sum is the
-    bias gradient.
+    ``volumes`` are the region volumes. The raw batch gradient ``grad_w`` is
+    in the region weights; its sum is the bias gradient.
     """
     if loss_kind == "ce":
-        # exact for 0/1 labels: the label frequencies of the images
+        # exact for 0/1 labels: the label frequencies of the images; each region weighs its volume share
         mean_l = n @ configs / n.sum()
-        n_pixels = counts.sum()
+        total = volumes.sum()
         return (
-            lambda y: float(_ce_terms(mean_l, y) @ (counts / n_pixels)),
-            lambda y: (y - mean_l) * counts / n_pixels,
+            lambda y: float(_ce_terms(mean_l, y) @ (volumes / total)),
+            lambda y: (y - mean_l) * volumes / total,
         )
     weights = n / n.sum()
     target = configs @ volumes
@@ -231,8 +195,7 @@ _STATIONARY_TOL = 1e-4
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverged run is refused after the loop, not warned about
 def _fit(
-    counts: np.ndarray,
-    pixels_per_unit_volume: int,
+    volumes: np.ndarray,
     train_labels: np.ndarray,
     val_labels: np.ndarray,
     loss_kind: str,
@@ -245,7 +208,7 @@ def _fit(
 
     One parameter vector theta = (region weights, shared bias) takes every
     step; the bias gradient is the sum of the weight gradients. The raw
-    batch gradients scale each region by its pixel share, which would stall
+    batch gradients scale each region by its volume share, which would stall
     small regions; per-parameter moment normalization makes every logit
     move at a comparable rate without touching the stationary points. The
     learning rate is constant. Every ``patience`` epochs, from epoch 1 on,
@@ -257,25 +220,23 @@ def _fit(
     region's residual y - mean_l against its train-split label frequency
     is below ``_STATIONARY_TOL`` both in probability and in volume (times
     the region's volume). The residual is read off the CE gradient, which
-    is ``(y - mean_l) * counts / n_pixels``. Otherwise the run ends after
-    ``max_epochs`` (``"max_epochs"``). A run whose parameters are no longer
-    finite raises :class:`TrainingDivergedError`, at the latest at the next
-    saturation check. The last iterate and its prediction are returned with
+    is ``(y - mean_l) * volumes / volumes.sum()``. Otherwise the run ends
+    after ``max_epochs`` (``"max_epochs"``). A run whose parameters are no
+    longer finite raises :class:`TrainingDivergedError`, at the latest at
+    the next saturation check. The last iterate and its prediction are returned with
     the stop reason and their loss on ``val_labels``; the validation rows
     take no part in the descent.
     """
-    counts = counts.astype(float)
-    volumes = counts / pixels_per_unit_volume
-    _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), counts, volumes)
+    _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), volumes)
     # |grad_w| times this is max(|y - mean_l|, |y - mean_l| * volume), region by region
-    stationary_scale = counts.sum() / counts * np.maximum(volumes, 1.0)
+    stationary_scale = volumes.sum() / volumes * np.maximum(volumes, 1.0)
     # a stationary run has |g[-1]| <= sum |grad_w| < _STATIONARY_TOL * sum(1 / stationary_scale), so the
     # bias gradient, at twice that bound to leave rounding no say, rules out most epochs before the full
     # check; a bound of 0 rules out every SD epoch
     stationary_bound = 2.0 * _STATIONARY_TOL * (1.0 / stationary_scale).sum() if loss_kind == "ce" else 0.0
 
-    theta = np.zeros(counts.size + 1) if init is None else np.append(init.weights, init.bias)
-    if theta.size != counts.size + 1:
+    theta = np.zeros(volumes.size + 1) if init is None else np.append(init.weights, init.bias)
+    if theta.size != volumes.size + 1:
         raise ValueError("warm-start model has the wrong number of regions")
     # the step is taken in place, in the operation order of
     # m2 = B2 * m2 + ((1 - B2) * g) * g and theta -= (lr * hat1) / (sqrt(hat2) + eps)
@@ -314,7 +275,7 @@ def _fit(
     if not np.all(np.isfinite(theta)):
         raise TrainingDivergedError(f"{loss_kind} training diverged: non-finite parameters by epoch {epoch}")
     y = sigmoid(theta[:-1] + theta[-1])
-    val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), counts, volumes)
+    val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), volumes)
     return theta[:-1], float(theta[-1]), epoch, stop_reason, val_loss_at(y), y
 
 
@@ -353,7 +314,7 @@ def train(
     train-split label frequency both in probability and in volume. The
     last iterate is the trained model; its loss on the validation images
     is the report's ``final_loss``, and soft and thresholded volume biases
-    are measured on the test images. The report's ``stop_reason`` says
+    are measured on the test images, in the model's volume units. The report's ``stop_reason`` says
     which rule ended the run.
     """
     if loss_kind not in DEFAULT_LR:
@@ -370,8 +331,7 @@ def train(
     if i_test.size == 0:
         raise ValueError("dataset too small to hold out test images")
     w, b, epochs, stop_reason, final_loss, pred = _fit(
-        dataset.region_pixel_counts,
-        dataset.pixels_per_unit_volume,
+        dataset.model.volumes,
         dataset.labels[i_train],
         dataset.labels[i_val],
         loss_kind,
@@ -380,7 +340,7 @@ def train(
         patience,
         init=init,
     )
-    bias_soft, bias_hard = _volume_biases(pred, dataset.region_volumes, dataset.labels[i_test])
+    bias_soft, bias_hard = _volume_biases(pred, dataset.model.volumes, dataset.labels[i_test])
     return TrainReport(
         loss_kind=loss_kind,
         final_loss=final_loss,

@@ -1,11 +1,12 @@
 """Pixel-level reference for the compact trainer, used only by the tests.
 
-A dataset is expanded into its pixels: one-hot region-identity features and
-per-pixel labels. The batch losses score those pixels with the package's
-own per-voxel losses, :func:`volbias.losses.cross_entropy` and
-:func:`volbias.losses.soft_dice_loss` over unit-weight maps; the analytic
-gradients beside them are the reference ``trainer._objective`` is checked
-against.
+A dataset is expanded into its pixels, at a resolution in pixels per unit
+volume that the test picks so that every region is a whole number of
+pixels: one-hot region-identity features and per-pixel labels. The batch
+losses score those pixels with the package's own per-voxel losses,
+:func:`volbias.losses.cross_entropy` and :func:`volbias.losses.soft_dice_loss`
+over unit-weight maps; the analytic gradients beside them are the reference
+``trainer._objective`` is checked against.
 """
 
 import numpy as np
@@ -14,14 +15,21 @@ from volbias.losses import HardMap, SoftMap, cross_entropy, soft_dice_loss
 from volbias.trainer import sigmoid
 
 
-def image_features(ds):
+def pixel_counts(ds, resolution):
+    """Pixels per region of ``ds`` at ``resolution`` pixels per unit volume; each count must be integral."""
+    counts = ds.model.volumes * resolution
+    assert np.array_equal(counts, np.round(counts)), f"volumes {ds.model.volumes} are not whole pixels at {resolution}"
+    return counts.astype(int)
+
+
+def image_features(ds, resolution):
     """One-hot region-identity features, shared by every image of ``ds``, shape (pixels, regions)."""
-    return np.repeat(np.eye(len(ds.model)), ds.region_pixel_counts, axis=0)
+    return np.repeat(np.eye(len(ds.model)), pixel_counts(ds, resolution), axis=0)
 
 
-def image_pixel_labels(ds, i):
+def image_pixel_labels(ds, i, resolution):
     """Per-pixel labels of image i of ``ds``, expanded from its region labels."""
-    return np.repeat(ds.labels[i], ds.region_pixel_counts)
+    return np.repeat(ds.labels[i], pixel_counts(ds, resolution))
 
 
 def forward(model, features):

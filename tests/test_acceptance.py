@@ -91,13 +91,11 @@ def training_sweep():
             for p in (0.25, 0.75):
                 spec = scenario(mu, k, p)
                 model = expand_scenario(spec)
-                min_vol = min(r.volume for r in model.regions if r.volume > 0)
-                ppuv = max(16, math.ceil(1.0 / min_vol))
                 for loss_kind in ("ce", "sd"):
                     cell = SweepCell(k, mu, p, loss_kind, [], [], [], [], [], [], [])
                     lr, epochs = (0.1, 2500) if loss_kind == "ce" else (0.1, 3000)
                     for rep, seed in enumerate(spawn_seeds((SWEEP_SEED, k, int(4 * mu), int(4 * p)), N_SEEDS)):
-                        ds = generate_dataset(model, N_IMAGES, ppuv, seed)
+                        ds = generate_dataset(model, N_IMAGES, seed)
                         report = train(ds, loss_kind, lr=lr, max_epochs=epochs, patience=200, seed=seed + 1)
                         i_train, _, _ = _split_indices(ds.n_images, seed + 1)
                         cell.preds.append(report.per_region_pred)
@@ -105,7 +103,7 @@ def training_sweep():
                         cell.biases_hard.append(report.bias_hard)
                         cell.train_freqs.append(ds.labels[i_train].mean(axis=0))
                         cell.stop_reasons.append(report.stop_reason)
-                        cell.region_volumes.append(ds.region_volumes)
+                        cell.region_volumes.append(ds.model.volumes)
                         cell.epochs_run.append(report.epochs_run)
                     cells[(k, mu, p, loss_kind)] = cell
     return cells, time.monotonic() - t0
@@ -388,7 +386,6 @@ def test_criterion_12_cli_determinism(tmp_path):
             "losses": ["ce", "sd"],
             "n_seeds": 2,
             "n_images": 200,
-            "pixels_per_unit_volume": 10,
             "max_epochs": 300,
             "patience": 100,
             "n_resamples": 2000,

@@ -141,7 +141,6 @@ class TestTrainToyCommand:
         "losses": ["ce", "sd"],
         "n_seeds": 3,
         "n_images": 300,
-        "pixels_per_unit_volume": 10,
         "lr_sd": 0.5,
         "max_epochs": 600,
         "patience": 100,
@@ -165,32 +164,20 @@ class TestTrainToyCommand:
 
     def test_failed_cell_does_not_crash_run(self, tmp_path):
         cfg_obj = dict(self.CONFIG)
-        cfg_obj["scenarios"] = [{"s_alpha": 10, "s_gamma": 1, "mu": 0.001, "k_regions": 1, "p_beta": 0.5}]
-        cfg_obj["pixels_per_unit_volume"] = 10  # rounds the uncertain region to zero pixels
+        cfg_obj["scenarios"] = [{"s_alpha": 0, "s_gamma": 1, "mu": 1.0, "k_regions": 1, "p_beta": 0.5}]  # no background
         cfg = write_config(tmp_path, "cfg.json", cfg_obj)
         assert run(["train-toy", "--config", cfg, "--seed", 1, "--out", tmp_path]) == 0
         lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
         assert all("error" in json.loads(line) for line in lines)
 
-    @pytest.mark.parametrize(
-        "scenario, ppuv",
-        [
-            ({"mu": 1e-20}, None),  # the automatic resolution asks for ~1e22 background pixels
-            ({"mu": 1e-320}, None),  # the automatic resolution itself is infinite
-            ({}, 10**400),  # no float holds volume x resolution
-        ],
-        ids=["auto-past-int64", "auto-infinite", "past-float"],
-    )
-    def test_pixel_count_overflow_is_a_cell_error(self, tmp_path, scenario, ppuv):
-        cfg_obj = {**self.CONFIG, "n_seeds": 1, "scenarios": [{**self.CONFIG["scenarios"][0], **scenario}]}
-        cfg_obj.pop("pixels_per_unit_volume")
-        if ppuv is not None:
-            cfg_obj["pixels_per_unit_volume"] = ppuv
-        cfg = write_config(tmp_path, "cfg.json", cfg_obj)
-        assert run(["train-toy", "--config", cfg, "--out", tmp_path]) == 0
-        lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
-        assert len(lines) == 2 and all("pixels per unit volume" in json.loads(line)["error"] for line in lines)
-        assert [row["bias_soft"] for row in read_rows(tmp_path / "train_summary.csv")] == ["", ""]
+    def test_pixels_per_unit_volume_is_not_read(self, tmp_path):
+        # the trainer works on the model's volumes: no resolution enters, so the removed key moves no byte
+        outputs = []
+        for name, cfg_obj in (("without", self.CONFIG), ("with", {**self.CONFIG, "pixels_per_unit_volume": 10})):
+            cfg = write_config(tmp_path, f"{name}.json", cfg_obj)
+            assert run(["train-toy", "--config", cfg, "--seed", 5, "--out", tmp_path / name]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_artifacts_write_scenarios_at_15_digits(self, tmp_path):
         base = {"s_alpha": 10, "s_gamma": 1, "mu": 0.1 + 0.2, "k_regions": 1}
@@ -352,15 +339,15 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_gamma": math.inf}]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": -5}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": 0}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": -3}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "losses": []}),
             # integer keys refuse to truncate
             ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": 10.5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 2.5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 300.5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": 600.5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 100.5}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "pixels_per_unit_volume": 10.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": math.inf}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 2000.5}),
             ("bootstrap", {"a": [1, 2], "b": [0, 0], "n_resamples": 2000.5}),
             # train-toy config errors, not per-cell error records

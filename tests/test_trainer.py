@@ -35,6 +35,7 @@ from pixel_reference import (
     forward,
     image_features,
     image_pixel_labels,
+    pixel_counts,
     sd_batch_loss,
     sd_gradient,
 )
@@ -52,9 +53,8 @@ def random_pixel_batch(rng, n_regions, n_pixels):
 
 def objective_of(ds, loss_kind):
     """The trainer's objective on the label support of every image of ``ds``."""
-    counts = ds.region_pixel_counts.astype(float)
     configs, n = np.unique(ds.labels, axis=0, return_counts=True)
-    return _objective(loss_kind, configs, n, counts, ds.region_volumes)
+    return _objective(loss_kind, configs, n, ds.model.volumes)
 
 
 def fd_gradient(loss_fn, model, h=1e-5):
@@ -75,64 +75,55 @@ def rel_err(a, b):
 
 
 class TestGenerateDataset:
-    def test_pixel_counts_follow_resolution(self):
-        model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 5, 10, seed=0)
-        assert ds.region_pixel_counts.tolist() == [1000, 10, 10]
-        assert ds.pixels_per_image == 1020
-
     def test_certain_labels_everywhere(self):
         model = expand_scenario(scenario(100, 1, 1.0, 1, 1.0))
-        ds = generate_dataset(model, 50, 10, seed=1)
+        ds = generate_dataset(model, 50, seed=1)
         assert np.all(ds.labels[:, 1] == 1.0)
 
     def test_label_frequency_matches_probability(self):
         # 3 sigma binomial bound for 1e4 fair draws: +/- 0.015.
         model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 10_000, 10, seed=2)
+        ds = generate_dataset(model, 10_000, seed=2)
         assert 0.485 <= ds.labels[:, 1].mean() <= 0.515
 
-    def test_zero_pixel_region_raises(self):
-        model = expand_scenario(scenario(100, 1, 0.001, 1, 0.5))
-        with pytest.raises(ValueError, match="zero pixels"):
-            generate_dataset(model, 5, 10, seed=0)
+    def test_zero_volume_region_raises(self):
+        # a region of volume zero carries no loss: training could not set its prediction
+        model = RegionModel((Region(0.0, 0.0), Region(1.0, 0.5), Region(0.0, 1.0)))
+        with pytest.raises(ValueError, match=r"regions \[0, 2\] have zero volume"):
+            generate_dataset(model, 5, seed=0)
+        with pytest.raises(ValueError, match=r"regions \[0, 2\] have zero volume"):
+            ToyDataset(model, np.zeros((5, 3)))
 
-    @pytest.mark.parametrize("ppuv", [10**20, 10**400], ids=["past-int64", "past-float"])
-    def test_pixel_count_overflow_raises(self, ppuv):
+    @pytest.mark.parametrize("n_images", [0, -3])
+    def test_no_images_rejected(self, n_images):
         model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
-        with pytest.raises(ValueError, match="overflow"):
-            generate_dataset(model, 5, ppuv, seed=0)
-
-    def test_pixels_per_image_past_int64(self):
-        # Each count fits an int64 (9.05e18 and twice 9.05e16); their sum does not.
-        model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 8, 90_500_000_000_000_000, seed=0)
-        assert ds.pixels_per_image == 9_231_000_000_000_000_000
+        with pytest.raises(ValueError, match="at least one labeling"):
+            generate_dataset(model, n_images, seed=0)
 
     def test_deterministic_per_seed(self):
         model = expand_scenario(scenario(100, 1, 4.0, 4, 0.3))
-        a = generate_dataset(model, 20, 10, seed=7)
-        b = generate_dataset(model, 20, 10, seed=7)
+        a = generate_dataset(model, 20, seed=7)
+        b = generate_dataset(model, 20, seed=7)
         assert np.array_equal(a.labels, b.labels)
 
     def test_label_stream_is_pinned(self):
         # A different stream would change every seeded training result.
         model = expand_scenario(scenario(3, 1, 2.0, 4, 0.5))
-        ds = generate_dataset(model, 5, 4, seed=11)
+        ds = generate_dataset(model, 5, seed=11)
         expected = [[0, 0, 0, 0, 0, 1], [0, 1, 0, 1, 1, 1], [0, 0, 0, 1, 0, 1], [0, 1, 1, 1, 0, 1], [0, 0, 0, 0, 1, 1]]
         assert ds.labels.tolist() == expected
         assert sample_labeling(model, 11).labels == tuple(expected[0])
 
     def test_pixel_materialization_is_consistent(self):
         model = expand_scenario(scenario(2, 1, 1.0, 2, 0.5))
-        ds = generate_dataset(model, 3, 4, seed=3)
-        feats = image_features(ds)
-        assert feats.shape == (ds.pixels_per_image, len(model))
+        ds = generate_dataset(model, 3, seed=3)
+        feats = image_features(ds, 4)
+        assert feats.shape == (pixel_counts(ds, 4).sum(), len(model))
         assert np.all(feats.sum(axis=1) == 1.0)
-        labels = image_pixel_labels(ds, 1)
+        labels = image_pixel_labels(ds, 1, 4)
         # all pixels of one region share the region's label
         start = 0
-        for r, c in enumerate(ds.region_pixel_counts):
+        for r, c in enumerate(pixel_counts(ds, 4)):
             assert np.all(labels[start : start + c] == ds.labels[1, r])
             start += c
 
@@ -220,15 +211,15 @@ class TestCompactPathMatchesPixelPath:
     """The trainer's region-level math must equal the pixel-level ops."""
 
     @staticmethod
-    def assert_paths_agree(ds, model, loss_kind):
-        features = image_features(ds)
+    def assert_paths_agree(ds, model, loss_kind, resolution):
+        features = image_features(ds, resolution)
         if loss_kind == "ce":
             feats = np.tile(features, (ds.n_images, 1))
-            labels = np.concatenate([image_pixel_labels(ds, i) for i in range(ds.n_images)])
+            labels = np.concatenate([image_pixel_labels(ds, i, resolution) for i in range(ds.n_images)])
             pixel_loss = ce_batch_loss(model, feats, labels)
             pixel_grad_w, pixel_grad_b = ce_gradient(model, feats, labels)
         else:
-            images = [(features, image_pixel_labels(ds, i)) for i in range(ds.n_images)]
+            images = [(features, image_pixel_labels(ds, i, resolution)) for i in range(ds.n_images)]
             pixel_loss = sd_batch_loss(model, images)
             pixel_grad_w, pixel_grad_b = sd_gradient(model, images)
 
@@ -241,24 +232,24 @@ class TestCompactPathMatchesPixelPath:
 
     def test_ce_loss_and_raw_gradient_agree(self):
         model_spec = expand_scenario(scenario(3, 1, 1.0, 2, 0.5))
-        ds = generate_dataset(model_spec, 6, 4, seed=5)
+        ds = generate_dataset(model_spec, 6, seed=5)
         w = np.random.default_rng(9).normal(size=len(model_spec))
-        self.assert_paths_agree(ds, ToyModel(w, 0.2), "ce")
+        self.assert_paths_agree(ds, ToyModel(w, 0.2), "ce", 4)
 
     def test_sd_loss_and_raw_gradient_agree(self):
         model_spec = expand_scenario(scenario(3, 1, 1.0, 2, 0.5))
-        ds = generate_dataset(model_spec, 6, 4, seed=6)
+        ds = generate_dataset(model_spec, 6, seed=6)
         w = np.random.default_rng(10).normal(size=len(model_spec))
-        self.assert_paths_agree(ds, ToyModel(w, -0.1), "sd")
+        self.assert_paths_agree(ds, ToyModel(w, -0.1), "sd", 4)
 
     def test_sd_empty_images_score_zero_and_count(self):
         # no certain foreground and predictions underflowing to exactly 0:
         # the images with no foreground label have an empty soft-Dice denominator
         model_spec = RegionModel((Region(2.0, 0.0), Region(1.0, 0.5), Region(1.0, 0.5)))
-        ds = generate_dataset(model_spec, 8, 1, seed=1)
+        ds = generate_dataset(model_spec, 8, seed=1)
         model = ToyModel(np.full(3, -800.0), 0.0)
         assert 0 < np.count_nonzero(ds.labels.sum(axis=1) == 0) < ds.n_images
-        self.assert_paths_agree(ds, model, "sd")
+        self.assert_paths_agree(ds, model, "sd", 1)
         assert objective_of(ds, "sd")[0](sigmoid(model.weights)) == pytest.approx(0.875, abs=1e-12)
 
 
@@ -332,7 +323,7 @@ class TestSdGradientIsRankOne:
     @given(sd_supports())
     def test_matches_the_per_configuration_formula(self, support):
         configs, n, volumes, y = support
-        _, grad_w_at = _objective("sd", configs, n, volumes, volumes)
+        _, grad_w_at = _objective("sd", configs, n, volumes)
         want = per_configuration_sd_grad_w(configs, n, volumes, y)
         assert np.abs(grad_w_at(y) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -353,24 +344,24 @@ class TestCompactLossesAreExpectedLosses:
         # every joint labeling with its exact probability
         configs = np.array(list(itertools.product(*[(0.0, 1.0) if u else (pr,) for u, pr in zip(uncertain, p)])))
         weights = np.prod(np.where(configs == 1.0, p, 1.0 - p), axis=1)
-        # the exact weights stand in for image counts, the volumes for pixel counts
-        sd_loss, _ = _objective("sd", configs, weights, volumes, volumes)
+        # the exact weights stand in for image counts
+        sd_loss, _ = _objective("sd", configs, weights, volumes)
         assert sd_loss(q) == pytest.approx(expected_sd_exhaustive(model, pred).value, abs=1e-12)
-        ce_loss, _ = _objective("ce", configs, weights, volumes, volumes)
+        ce_loss, _ = _objective("ce", configs, weights, volumes)
         assert ce_loss(q) == pytest.approx(expected_ce(model, pred).value / volumes.sum(), abs=1e-12)
 
 
 class TestTraining:
     def test_ce_recovers_uncertain_probability(self):
         model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 3000, 10, seed=21)
+        ds = generate_dataset(model, 3000, seed=21)
         report = train(ds, "ce", seed=1)
         assert abs(report.per_region_pred[1] - 0.5) < 0.02
         assert report.per_region_pred[0] < 0.02 and report.per_region_pred[2] > 0.98
 
     def test_ce_converges_to_train_split_frequencies(self):
         model = expand_scenario(scenario(10, 1, 2.0, 4, 0.35))
-        ds = generate_dataset(model, 2000, 16, seed=22)
+        ds = generate_dataset(model, 2000, seed=22)
         from volbias.trainer import _split_indices
 
         report = train(ds, "ce", max_epochs=6000, seed=2)
@@ -380,13 +371,13 @@ class TestTraining:
 
     def test_ce_on_certain_labels(self):
         model = expand_scenario(scenario(100, 1, 1.0, 2, 0.0))
-        ds = generate_dataset(model, 500, 10, seed=23)
+        ds = generate_dataset(model, 500, seed=23)
         report = train(ds, "ce", seed=3)
         assert np.abs(report.per_region_pred - model.probabilities).max() < 0.02
 
     def test_sd_matches_risk_minimizer_argmin(self):
         spec = scenario(100, 1, 1.0, 1, 0.75)
-        ds = generate_dataset(expand_scenario(spec), 2000, 16, seed=24)
+        ds = generate_dataset(expand_scenario(spec), 2000, seed=24)
         report = train(ds, "sd", lr=0.5, seed=4)
         argmin = sd_minimizer(spec).p_tilde_opt
         assert argmin == 1.0
@@ -394,17 +385,17 @@ class TestTraining:
 
     def test_duplicating_images_changes_nothing(self):
         model = expand_scenario(scenario(10, 1, 1.0, 2, 0.4))
-        ds = generate_dataset(model, 400, 10, seed=25)
+        ds = generate_dataset(model, 400, seed=25)
         half = ds.labels[:200]
         doubled = np.vstack([half, half])
         for kind in ("ce", "sd"):
-            w1, b1, *_ = _fit(ds.region_pixel_counts, 10, half, half, kind, 0.5, 800, 200)
-            w2, b2, *_ = _fit(ds.region_pixel_counts, 10, doubled, doubled, kind, 0.5, 800, 200)
+            w1, b1, *_ = _fit(ds.model.volumes, half, half, kind, 0.5, 800, 200)
+            w2, b2, *_ = _fit(ds.model.volumes, doubled, doubled, kind, 0.5, 800, 200)
             assert np.abs(sigmoid(w1 + b1) - sigmoid(w2 + b2)).max() < 1e-6
 
     def test_report_serialization_keys(self):
         model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 200, 10, seed=26)
+        ds = generate_dataset(model, 200, seed=26)
         report = train(ds, "ce", max_epochs=50, seed=5)
         obj = json.loads(report.to_json())
         assert set(obj) == {"loss_kind", "final_loss", "per_region_pred", "epochs_run", "bias_soft", "bias_hard"}
@@ -412,36 +403,47 @@ class TestTraining:
 
     def test_unknown_loss_rejected(self):
         model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 100, 10, seed=27)
+        ds = generate_dataset(model, 100, seed=27)
         with pytest.raises(ValueError):
             train(ds, "dice")
 
     @pytest.mark.parametrize("patience", [0, -1])
     def test_nonpositive_patience_rejected(self, patience):
         model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 100, 10, seed=27)
+        ds = generate_dataset(model, 100, seed=27)
         with pytest.raises(ValueError, match="patience"):
             train(ds, "ce", patience=patience)
 
     @pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf])
     def test_bad_learning_rate_rejected(self, lr):
         model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 100, 10, seed=27)
+        ds = generate_dataset(model, 100, seed=27)
         with pytest.raises(ValueError, match="learning rate"):
             train(ds, "ce", lr=lr)
 
     @pytest.mark.parametrize("max_epochs", [0, -1])
     def test_nonpositive_max_epochs_rejected(self, max_epochs):
         model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 100, 10, seed=27)
+        ds = generate_dataset(model, 100, seed=27)
         with pytest.raises(ValueError, match="max_epochs"):
             train(ds, "ce", max_epochs=max_epochs)
+
+    @pytest.mark.parametrize("loss_kind", ["ce", "sd"])
+    def test_biases_are_in_the_model_volume_units(self, loss_kind):
+        # a third of a unit is no whole number of pixels at a power-of-two resolution
+        model = expand_scenario(scenario(100, 1, 1.0, 3, 0.75))
+        ds = generate_dataset(model, 300, seed=29)
+        report = train(ds, loss_kind, seed=14)
+        true_mean = (ds.labels[_split_indices(ds.n_images, 14)[2]] @ model.volumes).mean()
+        pred = report.per_region_pred
+        assert report.bias_soft == pytest.approx(pred @ model.volumes - true_mean, abs=1e-12)
+        assert report.bias_hard == pytest.approx((pred >= 0.5) @ model.volumes - true_mean, abs=1e-12)
 
     def test_warm_start_from_ce_keeps_sd_binary(self):
         # pretraining with cross-entropy does not rescue the soft-Dice
         # bias: continued SD training still saturates to an endpoint
         spec = scenario(100, 1, 1.0, 1, 0.75)
-        ds = generate_dataset(expand_scenario(spec), 2000, 16, seed=28)
+        ds = generate_dataset(expand_scenario(spec), 2000, seed=28)
         ce_report = train(ds, "ce", seed=12)
         assert abs(ce_report.per_region_pred[1] - 0.75) < 0.05
         sd_report = train(ds, "sd", seed=12, init=ce_report.model)
@@ -453,7 +455,7 @@ class TestStopping:
 
     @staticmethod
     def dataset(k):
-        return generate_dataset(expand_scenario(scenario(100, 1, 1.0, k, 0.75)), 300, 16, seed=40 + k)
+        return generate_dataset(expand_scenario(scenario(100, 1, 1.0, k, 0.75)), 300, seed=40 + k)
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_sd_stops_once_saturated(self, k):
@@ -479,7 +481,7 @@ class TestStopping:
         residual = np.abs(report.per_region_pred - ds.labels[i_train].mean(axis=0))
         assert residual.max() < 1e-4
         # in volume too: the certain background has volume 100
-        assert (residual * ds.region_volumes).max() < 1e-4
+        assert (residual * ds.model.volumes).max() < 1e-4
         # the run stopped before its Adam step, so a warm restart is stationary at once
         more = train(ds, "ce", max_epochs=3000, patience=200, seed=13, init=report.model)
         assert more.stop_reason == "stationary" and more.epochs_run == 1
@@ -507,7 +509,7 @@ class TestStopping:
         labels = ds.labels.copy()
         i_val = _split_indices(ds.n_images, 13)[1]
         labels[i_val, 1:-1] = 1.0 - labels[i_val, 1:-1]
-        flipped = ToyDataset(ds.model, ds.region_pixel_counts, labels, ds.pixels_per_unit_volume)
+        flipped = ToyDataset(ds.model, labels)
         for loss_kind in ("ce", "sd"):
             a = train(ds, loss_kind, max_epochs=3000, patience=200, seed=13)
             b = train(flipped, loss_kind, max_epochs=3000, patience=200, seed=13)
@@ -519,7 +521,7 @@ class TestStopping:
 class TestEmpiricalVolumeBias:
     def test_ce_trained_soft_bias_near_zero(self):
         spec = scenario(100, 1, 1.0, 1, 0.5)
-        ds = generate_dataset(expand_scenario(spec), 3000, 10, seed=31)
+        ds = generate_dataset(expand_scenario(spec), 3000, seed=31)
         report = train(ds, "ce", seed=6)
         bias_soft, bias_hard = empirical_volume_bias(report, expand_scenario(spec), n_images=4000, seed=7)
         assert abs(bias_soft) < 0.05
@@ -528,10 +530,17 @@ class TestEmpiricalVolumeBias:
 
     def test_sd_trained_overestimates(self):
         spec = scenario(100, 1, 1.0, 1, 0.75)
-        ds = generate_dataset(expand_scenario(spec), 2000, 16, seed=32)
+        ds = generate_dataset(expand_scenario(spec), 2000, seed=32)
         report = train(ds, "sd", lr=0.5, seed=8)
         bias_soft, _ = empirical_volume_bias(report, expand_scenario(spec), n_images=4000, seed=9)
         assert bias_soft == pytest.approx(0.25, abs=0.07)
+
+    @pytest.mark.parametrize("n_images", [0, -3])
+    def test_no_images_rejected(self, n_images):
+        spec = scenario(100, 1, 1.0, 1, 0.5)
+        report = train(generate_dataset(expand_scenario(spec), 100, seed=34), "ce", max_epochs=5)
+        with pytest.raises(ValueError, match="at least one labeling"):
+            empirical_volume_bias(report, expand_scenario(spec), n_images=n_images)
 
     def test_no_bias_without_uncertainty(self):
         # The background's logit, in the sigmoid's tail, moves by at most about
@@ -539,7 +548,7 @@ class TestEmpiricalVolumeBias:
         # volume, so deep saturation takes hundreds of epochs, well inside the cap.
         for p in (0.0, 1.0):
             spec = scenario(100, 1, 1.0, 1, p)
-            ds = generate_dataset(expand_scenario(spec), 600, 10, seed=33)
+            ds = generate_dataset(expand_scenario(spec), 600, seed=33)
             for kind in ("ce", "sd"):
                 report = train(ds, kind, lr=0.5, max_epochs=16000, seed=10)
                 bias_soft, bias_hard = empirical_volume_bias(report, expand_scenario(spec), n_images=2000, seed=11)
