@@ -108,7 +108,7 @@ class TrainReport:
     final_loss: float
     per_region_pred: np.ndarray
     epochs_run: int
-    stop_reason: str  # "saturated", "stationary" (CE only) or "max_epochs"; see _fit
+    stop_reason: str  # "saturated" (SD endpoint or window), "stationary" (CE only) or "max_epochs"; see _fit
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
@@ -117,8 +117,9 @@ class TrainReport:
     def converged(self) -> bool:
         """The run stopped on its own, not at the epoch cap.
 
-        It stopped by saturation or, for cross-entropy, at its stationary
-        point, judged in probability and in volume.
+        It stopped at its optimum, judged in probability and in volume: a
+        cross-entropy run at its stationary point, a soft-Dice run at its
+        endpoint; or it saturated, no longer moving over a patience window.
         """
         return self.stop_reason != "max_epochs"
 
@@ -180,16 +181,22 @@ def _objective(loss_kind, configs, n, volumes):
 # logits, e.g. the CE background driven to y < 1e-6, a logit near -13.8.
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.95
+# Adam's epsilon for the bias; a region weight's is this times the region's
+# volume share, the factor that scales its raw gradient, so a region of any
+# share moves at the same rate: against a fixed epsilon, a region below a
+# share of about 1e-9 has its whole gradient under it and never trains.
 _ADAM_EPS = 1e-8
 
-# A run whose predictions all moved by less than this over one patience
-# window has saturated: soft-Dice drives them to an endpoint of [0, 1].
+# The fallback stop: a run that meets neither optimum rule below has
+# saturated once its predictions all moved by less than this over one
+# patience window.
 _SATURATION_TOL = 1e-6
 
 # A cross-entropy run is stationary once every region's prediction is within
-# this of its train-split label frequency, both in probability and in volume:
-# a residual in probability alone would let the large certain background
-# carry a volume bias of its volume times this.
+# this of its train-split label frequency, and a soft-Dice run is at its
+# endpoint once every prediction is within this of 0 or 1, both in probability
+# and in volume: a residual in probability alone would let the large certain
+# background carry a volume bias of its volume times this.
 _STATIONARY_TOL = 1e-4
 
 
@@ -210,34 +217,42 @@ def _fit(
     step; the bias gradient is the sum of the weight gradients. The raw
     batch gradients scale each region by its volume share, which would stall
     small regions; per-parameter moment normalization makes every logit
-    move at a comparable rate without touching the stationary points. The
-    learning rate is constant. Every ``patience`` epochs, from epoch 1 on,
-    the prediction is compared with the one at the previous check; the run
-    stops when no entry moved by ``_SATURATION_TOL`` or more
-    (``"saturated"``), as soft-Dice runs do once their predictions reach
-    an endpoint. A cross-entropy run also stops at its stationary point
-    (``"stationary"``): checked every epoch, before the step, once every
-    region's residual y - mean_l against its train-split label frequency
-    is below ``_STATIONARY_TOL`` both in probability and in volume (times
-    the region's volume). The residual is read off the CE gradient, which
-    is ``(y - mean_l) * volumes / volumes.sum()``. Otherwise the run ends
-    after ``max_epochs`` (``"max_epochs"``). A run whose parameters are no
-    longer finite raises :class:`TrainingDivergedError`, at the latest at
-    the next saturation check. The last iterate and its prediction are returned with
-    the stop reason and their loss on ``val_labels``; the validation rows
-    take no part in the descent.
+    move at a comparable rate without touching the stationary points; Adam's
+    epsilon scales with the volume share too, so no share is too small to
+    train. The learning rate is constant.
+
+    Each run stops at its optimum, checked every epoch before the step,
+    both in probability and in volume (times the region's volume). A
+    cross-entropy run stops at its stationary point (``"stationary"``),
+    once every region's residual y - mean_l against its train-split label
+    frequency is below ``_STATIONARY_TOL``; the residual is read off the CE
+    gradient, which is ``(y - mean_l) * volumes / volumes.sum()``. A
+    soft-Dice run stops at its endpoint (``"saturated"``), once every
+    region's min(y, 1 - y) is below ``_STATIONARY_TOL`` and its gradient
+    pushes it strictly outward: positive where y < 0.5, negative where
+    y > 0.5. As a fallback, every ``patience`` epochs from epoch 1 on, the
+    prediction is compared with the one at the previous comparison; the
+    run stops when no entry moved by ``_SATURATION_TOL`` or more
+    (``"saturated"``). Otherwise the run ends after ``max_epochs``
+    (``"max_epochs"``). A run whose parameters are no longer finite raises
+    :class:`TrainingDivergedError`, at the latest at the next comparison.
+    The last iterate and its prediction are returned with the stop reason
+    and their loss on ``val_labels``; the validation rows take no part in
+    the descent.
     """
     _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), volumes)
-    # |grad_w| times this is max(|y - mean_l|, |y - mean_l| * volume), region by region
-    stationary_scale = volumes.sum() / volumes * np.maximum(volumes, 1.0)
+    # a residual times this is max(residual, residual * volume): judged in probability and in volume
+    endpoint_scale = np.maximum(volumes, 1.0)
+    # |grad_w| times this is the CE residual |y - mean_l| so judged, region by region
+    stationary_scale = volumes.sum() / volumes * endpoint_scale
     # a stationary run has |g[-1]| <= sum |grad_w| < _STATIONARY_TOL * sum(1 / stationary_scale), so the
-    # bias gradient, at twice that bound to leave rounding no say, rules out most epochs before the full
-    # check; a bound of 0 rules out every SD epoch
-    stationary_bound = 2.0 * _STATIONARY_TOL * (1.0 / stationary_scale).sum() if loss_kind == "ce" else 0.0
+    # bias gradient, at twice that bound to leave rounding no say, rules out most epochs before the full check
+    stationary_bound = 2.0 * _STATIONARY_TOL * (1.0 / stationary_scale).sum()
 
     theta = np.zeros(volumes.size + 1) if init is None else np.append(init.weights, init.bias)
     if theta.size != volumes.size + 1:
         raise ValueError("warm-start model has the wrong number of regions")
+    eps = _ADAM_EPS * np.append(volumes / volumes.sum(), 1.0)
     # the step is taken in place, in the operation order of
     # m2 = B2 * m2 + ((1 - B2) * g) * g and theta -= (lr * hat1) / (sqrt(hat2) + eps)
     g, m1, m2, step, scratch = (np.zeros_like(theta) for _ in range(5))
@@ -254,8 +269,16 @@ def _fit(
                 break
             checked = y
         g[-1] = grad_w.sum()
-        if abs(g[-1]) < stationary_bound and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
-            stop_reason = "stationary"
+        if loss_kind == "ce":
+            if abs(g[-1]) < stationary_bound and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
+                stop_reason = "stationary"
+                break
+        # the sign test runs only at an endpoint; it is strict, so logits frozen at a huge finite value,
+        # whose gradient is exactly 0, are no endpoint and a diverging run still reaches its refusal
+        elif (np.minimum(y, 1.0 - y) * endpoint_scale).max() < _STATIONARY_TOL and np.all(
+            np.where(y < 0.5, grad_w > 0.0, grad_w < 0.0)
+        ):
+            stop_reason = "saturated"
             break
         g[:-1] = grad_w
         m1 *= _ADAM_B1
@@ -269,7 +292,7 @@ def _fit(
         step *= lr
         np.divide(m2, 1.0 - _ADAM_B2**epoch, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += _ADAM_EPS
+        scratch += eps
         step /= scratch
         theta -= step
     if not np.all(np.isfinite(theta)):
@@ -308,14 +331,16 @@ def train(
     Images are split 60/20/20 into train/validation/test by a seeded
     permutation. Optimization is deterministic full-batch descent with
     adaptive moment scaling and a constant learning rate (see
-    :func:`_fit`). A run stops once its predictions have moved by less
-    than 1e-6 over a ``patience`` window, and a cross-entropy run stops at
-    its stationary point, where every region's prediction matches its
-    train-split label frequency both in probability and in volume. The
-    last iterate is the trained model; its loss on the validation images
-    is the report's ``final_loss``, and soft and thresholded volume biases
-    are measured on the test images, in the model's volume units. The report's ``stop_reason`` says
-    which rule ended the run.
+    :func:`_fit`). A cross-entropy run stops at its stationary point, where
+    every region's prediction matches its train-split label frequency, and
+    a soft-Dice run at its endpoint, where every prediction sits at 0 or 1
+    and the gradient pushes it further out; both are judged in probability
+    and in volume, every epoch. A run that meets neither stops once its
+    predictions have moved by less than 1e-6 over a ``patience`` window.
+    The last iterate is the trained model; its loss on the validation
+    images is the report's ``final_loss``, and soft and thresholded volume
+    biases are measured on the test images, in the model's volume units.
+    The report's ``stop_reason`` says which rule ended the run.
     """
     if loss_kind not in DEFAULT_LR:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")

@@ -273,6 +273,7 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
     ce_worst_volume = 0.0
     ce_capped = 0
     most_epochs = {"ce": 0, "sd": 0}
+    total_epochs = {"ce": 0, "sd": 0}
     sd_hits = 0
     sd_total = 0
     sign_hits = 0
@@ -281,6 +282,7 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
         argmin = sd_minimizer(scenario(mu, k, p)).p_tilde_opt
         theory_bias = mu * 1.0 * (argmin - p)
         most_epochs[loss_kind] = max(most_epochs[loss_kind], *cell.epochs_run)
+        total_epochs[loss_kind] += sum(cell.epochs_run)
         for rep in range(N_SEEDS):
             pred = cell.preds[rep]
             if loss_kind == "ce":
@@ -299,16 +301,17 @@ def test_criterion_08_toy_training_matches_theory(training_sweep):
     assert ce_worst < 0.02, f"worst CE deviation from train frequencies {ce_worst:.4f}"
     assert ce_worst_volume < 1e-4, f"worst CE volume residual {ce_worst_volume:.2e}"
     assert ce_capped == 0, f"{ce_capped} CE runs stopped at the epoch cap"
-    # Adam's short second-moment memory drives the saturating logits deep in few epochs
+    # Adam's short second-moment memory drives the saturating logits deep in few epochs,
+    # and both stop rules are checked every epoch
     assert most_epochs["ce"] < 1000, f"a CE run took {most_epochs['ce']} epochs"
-    assert most_epochs["sd"] <= 1001, f"an SD run took {most_epochs['sd']} epochs"
+    assert most_epochs["sd"] < 500, f"an SD run took {most_epochs['sd']} epochs"
     assert sd_hits >= 0.95 * sd_total, f"SD matched the argmin in only {sd_hits}/{sd_total} cells"
     assert sign_hits >= 0.95 * sign_total, f"bias sign matched theory in only {sign_hits}/{sign_total} cells"
     ok(
         8,
         f"CE within {ce_worst:.3f} of frequencies and {ce_worst_volume:.1e} in volume; SD at argmin in {sd_hits}/{sd_total}; "
-        f"sign match {sign_hits}/{sign_total}; at most {most_epochs['ce']}/{most_epochs['sd']} CE/SD epochs; "
-        f"sweep {elapsed:.0f}s",
+        f"sign match {sign_hits}/{sign_total}; at most {most_epochs['ce']}/{most_epochs['sd']} CE/SD epochs, "
+        f"{total_epochs['ce']}/{total_epochs['sd']} in all; sweep {elapsed:.0f}s",
     )
 
 

@@ -462,13 +462,13 @@ class TestStopping:
         ds = self.dataset(k)
         report = train(ds, "sd", max_epochs=3000, patience=200, seed=13)
         assert report.stop_reason == "saturated" and report.converged
-        # within five saturation windows: Adam's short second-moment memory lets the saturating logits move fast
-        assert report.epochs_run <= 1001
-        # nothing is left to learn: continuing moves no prediction by the tolerance and
-        # stops at the first comparison, one patience window after epoch 1
+        # at its endpoint long before the third saturation window: the endpoint rule is checked every epoch
+        assert report.epochs_run < 500
+        # nothing is left to learn: the run stopped before its Adam step at an endpoint, so
+        # continuing moves no prediction and stops at once, as a CE warm restart does
         more = train(ds, "sd", max_epochs=3000, patience=200, seed=13, init=report.model)
         assert np.abs(more.per_region_pred - report.per_region_pred).max() < 1e-6
-        assert more.stop_reason == "saturated" and more.epochs_run == 201
+        assert more.stop_reason == "saturated" and more.epochs_run == 1
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_ce_stops_when_stationary(self, k):
@@ -486,6 +486,49 @@ class TestStopping:
         more = train(ds, "ce", max_epochs=3000, patience=200, seed=13, init=report.model)
         assert more.stop_reason == "stationary" and more.epochs_run == 1
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        k=st.integers(1, 16),
+        mu=st.floats(0.05, 8.0),
+        p=st.floats(0.05, 0.95),
+        s_alpha=st.floats(1.0, 1000.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_saturated_sd_run_sits_at_an_endpoint(self, k, mu, p, s_alpha, seed):
+        ds = generate_dataset(expand_scenario(scenario(s_alpha, 1, mu, k, p)), 300, seed)
+        report = train(ds, "sd", seed=seed)
+        assert report.stop_reason == "saturated"
+        y, volumes = report.per_region_pred, ds.model.volumes
+        # at an endpoint in probability and in volume
+        assert (np.minimum(y, 1.0 - y) * np.maximum(volumes, 1.0)).max() < 1e-4
+        # and the train-split gradient pushes every prediction further out
+        i_train = _split_indices(ds.n_images, seed)[0]
+        grad_w = _objective("sd", *np.unique(ds.labels[i_train], axis=0, return_counts=True), volumes)[1](y)
+        assert np.all(np.where(y < 0.5, grad_w > 0.0, grad_w < 0.0))
+
+    def test_ce_trains_a_region_of_any_volume_share(self):
+        # the uncertain region's raw gradient scales with its volume share; Adam's epsilon scales
+        # with it, so the region trains as it would at any share: stationary, after the same epochs
+        reports = {}
+        for mu in (1e-10, 1e-8, 1e-7, 1e-4):
+            ds = generate_dataset(expand_scenario(scenario(10, 1, mu, 1, 0.75)), 300, seed=0)
+            reports[mu] = train(ds, "ce", seed=0)
+            assert reports[mu].stop_reason == "stationary"
+            i_train = _split_indices(ds.n_images, 0)[0]
+            assert abs(reports[mu].per_region_pred[1] - ds.labels[i_train, 1].mean()) < 1e-4
+        # at a share of 1e-5 the region's own gradient starts to steer the shared bias, which moves
+        # the stop by a few epochs; below that every run stops at the same epoch
+        assert reports[1e-10].epochs_run == reports[1e-8].epochs_run == reports[1e-7].epochs_run
+
+    @pytest.mark.parametrize("loss_kind", ["ce", "sd"])
+    def test_run_far_from_its_optimum_stops_by_the_window(self, loss_kind):
+        # Adam moves each logit by about lr per epoch, so at lr 1e-9 no prediction leaves 0.5 by
+        # 1e-6 within a window: neither optimum is near, and the fallback stops the run at the
+        # first comparison, one patience window after epoch 1
+        report = train(self.dataset(4), loss_kind, lr=1e-9, max_epochs=3000, patience=50, seed=13)
+        assert report.stop_reason == "saturated" and report.epochs_run == 51
+        assert np.abs(report.per_region_pred - 0.5).max() < 1e-6
+
     def test_cap_below_patience_reports_max_epochs(self):
         report = train(self.dataset(4), "sd", max_epochs=150, patience=200, seed=13)
         assert report.stop_reason == "max_epochs" and not report.converged
@@ -495,7 +538,7 @@ class TestStopping:
         ds = self.dataset(4)
         report = train(ds, "sd", max_epochs=3000, patience=200, seed=13)
         more = train(ds, "sd", max_epochs=3000, patience=1, seed=13, init=report.model)
-        assert more.stop_reason == "saturated" and more.epochs_run == 2
+        assert more.stop_reason == "saturated" and more.epochs_run == 1
 
     @pytest.mark.parametrize("loss_kind", ["ce", "sd"])
     def test_diverged_run_raises(self, loss_kind):
