@@ -32,11 +32,9 @@ from .regions import (
     Region,
     RegionModel,
     ScenarioSpec,
-    configuration_volume,
     expand_scenario,
     sample_labeling,
     sample_labelings,
-    true_expected_volume,
 )
 from .risk import (
     ExpectedLoss,

@@ -222,7 +222,6 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     n_seeds = _number(cfg, "n_seeds", 1, _integer, minimum=1)
     n_images = _number(cfg, "n_images", 1000, _integer, minimum=4)  # the 60/20/20 split keeps a test image
     max_epochs = _number(cfg, "max_epochs", 4000, _integer, minimum=1)
-    patience = _number(cfg, "patience", 200, _integer, minimum=1)
     n_resamples = _number(cfg, "n_resamples", 10000, _integer, minimum=1000)  # bootstrap_paired's floor
     lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
     if not all(lr is None or 0 < lr < inf for lr in lr_by_loss.values()):
@@ -251,7 +250,6 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                         loss_kind,
                         lr=lr_by_loss.get(loss_kind),
                         max_epochs=max_epochs,
-                        patience=patience,
                         seed=split_seed,
                     )
                 except (TrainingDivergedError, ValueError) as exc:

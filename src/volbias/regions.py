@@ -29,10 +29,8 @@ __all__ = [
     "ScenarioSpec",
     "LabelConfiguration",
     "expand_scenario",
-    "true_expected_volume",
     "sample_labeling",
     "sample_labelings",
-    "configuration_volume",
 ]
 
 
@@ -124,10 +122,6 @@ class ScenarioSpec:
         return json.dumps(asdict(self))
 
     @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
         if not isinstance(obj, dict):
             raise ValueError(f"a scenario must be an object, got {obj!r}")
@@ -175,14 +169,6 @@ def expand_scenario(spec: ScenarioSpec) -> RegionModel:
     return RegionModel(tuple(regions))
 
 
-def true_expected_volume(model: RegionModel) -> float:
-    """Expected foreground volume: sum of volume * probability over regions.
-
-    By linearity of expectation this is exact, no enumeration needed.
-    """
-    return float(model.volumes @ model.probabilities)
-
-
 def sample_labelings(model: RegionModel, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` joint labelings as an (n, regions) array of 0.0 / 1.0.
 
@@ -198,10 +184,3 @@ def sample_labelings(model: RegionModel, n: int, seed: int) -> np.ndarray:
 def sample_labeling(model: RegionModel, rng_seed: int) -> LabelConfiguration:
     """Draw one joint labeling: the first row of :func:`sample_labelings`."""
     return LabelConfiguration(sample_labelings(model, 1, rng_seed)[0])
-
-
-def configuration_volume(model: RegionModel, cfg: LabelConfiguration) -> float:
-    """Foreground volume realized by one label configuration."""
-    if len(cfg) != len(model):
-        raise ValueError(f"configuration has {len(cfg)} labels for {len(model)} regions")
-    return float(model.volumes @ cfg.as_array())

@@ -108,18 +108,18 @@ class TrainReport:
     final_loss: float
     per_region_pred: np.ndarray
     epochs_run: int
-    stop_reason: str  # "saturated" (SD endpoint or window), "stationary" (CE only) or "max_epochs"; see _fit
+    stop_reason: str  # "stationary" (CE optimum), "saturated" (SD endpoint) or "max_epochs"; see _fit
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
 
     @property
     def converged(self) -> bool:
-        """The run stopped on its own, not at the epoch cap.
+        """The run stopped at its optimum, not at the epoch cap.
 
-        It stopped at its optimum, judged in probability and in volume: a
-        cross-entropy run at its stationary point, a soft-Dice run at its
-        endpoint; or it saturated, no longer moving over a patience window.
+        The optimum is judged in probability and in volume: a cross-entropy
+        run at its stationary point, a soft-Dice run at its endpoint. A run
+        that stalls short of it is not converged.
         """
         return self.stop_reason != "max_epochs"
 
@@ -187,11 +187,6 @@ _ADAM_B2 = 0.95
 # share of about 1e-9 has its whole gradient under it and never trains.
 _ADAM_EPS = 1e-8
 
-# The fallback stop: a run that meets neither optimum rule below has
-# saturated once its predictions all moved by less than this over one
-# patience window.
-_SATURATION_TOL = 1e-6
-
 # A cross-entropy run is stationary once every region's prediction is within
 # this of its train-split label frequency, and a soft-Dice run is at its
 # endpoint once every prediction is within this of 0 or 1, both in probability
@@ -208,7 +203,6 @@ def _fit(
     loss_kind: str,
     lr: float,
     max_epochs: int,
-    patience: int,
     init: ToyModel | None = None,
 ) -> tuple[np.ndarray, float, int, str, float, np.ndarray]:
     """Deterministic full-batch adaptive-moment descent on the compact form.
@@ -230,12 +224,10 @@ def _fit(
     soft-Dice run stops at its endpoint (``"saturated"``), once every
     region's min(y, 1 - y) is below ``_STATIONARY_TOL`` and its gradient
     pushes it strictly outward: positive where y < 0.5, negative where
-    y > 0.5. As a fallback, every ``patience`` epochs from epoch 1 on, the
-    prediction is compared with the one at the previous comparison; the
-    run stops when no entry moved by ``_SATURATION_TOL`` or more
-    (``"saturated"``). Otherwise the run ends after ``max_epochs``
-    (``"max_epochs"``). A run whose parameters are no longer finite raises
-    :class:`TrainingDivergedError`, at the latest at the next comparison.
+    y > 0.5. Any other run ends after ``max_epochs`` (``"max_epochs"``).
+    A run whose parameters are no longer finite raises
+    :class:`TrainingDivergedError`; one whose bias gradient is no longer
+    finite, which needs non-finite parameters, leaves the loop at once.
     The last iterate and its prediction are returned with the stop reason
     and their loss on ``val_labels``; the validation rows take no part in
     the descent.
@@ -256,19 +248,13 @@ def _fit(
     # the step is taken in place, in the operation order of
     # m2 = B2 * m2 + ((1 - B2) * g) * g and theta -= (lr * hat1) / (sqrt(hat2) + eps)
     g, m1, m2, step, scratch = (np.zeros_like(theta) for _ in range(5))
-    checked = None
     stop_reason = "max_epochs"
     for epoch in range(1, max_epochs + 1):
         y = sigmoid(theta[:-1] + theta[-1])
         grad_w = grad_w_at(y)
-        if (epoch - 1) % patience == 0:
-            if not np.all(np.isfinite(theta)):
-                break
-            if checked is not None and np.abs(y - checked).max() < _SATURATION_TOL:
-                stop_reason = "saturated"
-                break
-            checked = y
         g[-1] = grad_w.sum()
+        if not abs(g[-1]) < np.inf:  # NaN or infinite: refused after the loop
+            break
         if loss_kind == "ce":
             if abs(g[-1]) < stationary_bound and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
                 stop_reason = "stationary"
@@ -322,7 +308,6 @@ def train(
     loss_kind: str,
     lr: float | None = None,
     max_epochs: int = 4000,
-    patience: int = 200,
     seed: int = 0,
     init: ToyModel | None = None,
 ) -> TrainReport:
@@ -335,12 +320,12 @@ def train(
     every region's prediction matches its train-split label frequency, and
     a soft-Dice run at its endpoint, where every prediction sits at 0 or 1
     and the gradient pushes it further out; both are judged in probability
-    and in volume, every epoch. A run that meets neither stops once its
-    predictions have moved by less than 1e-6 over a ``patience`` window.
-    The last iterate is the trained model; its loss on the validation
-    images is the report's ``final_loss``, and soft and thresholded volume
-    biases are measured on the test images, in the model's volume units.
-    The report's ``stop_reason`` says which rule ended the run.
+    and in volume, every epoch. A run that reaches neither ends at
+    ``max_epochs`` and is not ``converged``. The last iterate is the
+    trained model; its loss on the validation images is the report's
+    ``final_loss``, and soft and thresholded volume biases are measured on
+    the test images, in the model's volume units. The report's
+    ``stop_reason`` says which rule ended the run.
     """
     if loss_kind not in DEFAULT_LR:
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")
@@ -350,20 +335,11 @@ def train(
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     if max_epochs < 1:
         raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
-    if patience < 1:
-        raise ValueError(f"patience must be >= 1, got {patience}")
     i_train, i_val, i_test = _split_indices(dataset.n_images, seed)
     if i_test.size == 0:
         raise ValueError("dataset too small to hold out test images")
     w, b, epochs, stop_reason, final_loss, pred = _fit(
-        dataset.model.volumes,
-        dataset.labels[i_train],
-        dataset.labels[i_val],
-        loss_kind,
-        lr,
-        max_epochs,
-        patience,
-        init=init,
+        dataset.model.volumes, dataset.labels[i_train], dataset.labels[i_val], loss_kind, lr, max_epochs, init=init
     )
     bias_soft, bias_hard = _volume_biases(pred, dataset.model.volumes, dataset.labels[i_test])
     return TrainReport(

@@ -96,7 +96,7 @@ def training_sweep():
                     lr, epochs = (0.1, 2500) if loss_kind == "ce" else (0.1, 3000)
                     for rep, seed in enumerate(spawn_seeds((SWEEP_SEED, k, int(4 * mu), int(4 * p)), N_SEEDS)):
                         ds = generate_dataset(model, N_IMAGES, seed)
-                        report = train(ds, loss_kind, lr=lr, max_epochs=epochs, patience=200, seed=seed + 1)
+                        report = train(ds, loss_kind, lr=lr, max_epochs=epochs, seed=seed + 1)
                         i_train, _, _ = _split_indices(ds.n_images, seed + 1)
                         cell.preds.append(report.per_region_pred)
                         cell.biases_soft.append(report.bias_soft)

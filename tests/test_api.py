@@ -45,3 +45,38 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+BENCH = TESTS.parent / "bench"
+TRACER_TABLES = ("NOTES", "UNTRACED", "TRACK_ALLOCATIONS")
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_volbias_name_the_bench_looks_up_resolves(path):
+    # the benchmark runs unchanged across versions, so removing a name it reads breaks it; its own
+    # smoke test is slow and outside this suite, so the names are checked here, without running it
+    tree = ast.parse(path.read_text())
+    modules = {}  # local name -> the volbias module it is bound to
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, volbias) for a in node.names if a.name == "volbias")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "volbias":
+            owner = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(owner, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+                elif inspect.ismodule(getattr(owner, alias.name)):
+                    modules[alias.asname or alias.name] = getattr(owner, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if not hasattr(modules[node.value.id], node.attr):
+                missing.append(f"{node.value.id}.{node.attr}")
+    # the tracer wraps the functions in each module's __all__ and keys its tables by "layer.name"
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in TRACER_TABLES for t in node.targets):
+            for key in node.value.keys if isinstance(node.value, ast.Dict) else node.value.elts:
+                layer, name = ast.literal_eval(key).split(".")
+                if name not in importlib.import_module(f"volbias.{layer}").__all__:
+                    missing.append(f"{layer}.{name}")
+    assert missing == []

@@ -143,7 +143,6 @@ class TestTrainToyCommand:
         "n_images": 300,
         "lr_sd": 0.5,
         "max_epochs": 600,
-        "patience": 100,
         "n_resamples": 2000,
     }
 
@@ -170,14 +169,21 @@ class TestTrainToyCommand:
         lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
         assert all("error" in json.loads(line) for line in lines)
 
+    @staticmethod
+    def outputs(tmp_path, name, cfg_obj) -> dict:
+        cfg = write_config(tmp_path, f"{name}.json", cfg_obj)
+        assert run(["train-toy", "--config", cfg, "--seed", 5, "--out", tmp_path / name]) == 0
+        return {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+
     def test_pixels_per_unit_volume_is_not_read(self, tmp_path):
         # the trainer works on the model's volumes: no resolution enters, so the removed key moves no byte
-        outputs = []
-        for name, cfg_obj in (("without", self.CONFIG), ("with", {**self.CONFIG, "pixels_per_unit_volume": 10})):
-            cfg = write_config(tmp_path, f"{name}.json", cfg_obj)
-            assert run(["train-toy", "--config", cfg, "--seed", 5, "--out", tmp_path / name]) == 0
-            outputs.append({f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())})
-        assert outputs[0] == outputs[1]
+        with_key = {**self.CONFIG, "pixels_per_unit_volume": 10}
+        assert self.outputs(tmp_path, "without", self.CONFIG) == self.outputs(tmp_path, "with", with_key)
+
+    def test_patience_is_not_read(self, tmp_path):
+        # a run stops at its optimum or at max_epochs: the former window key, even at a once refused 0, moves no byte
+        with_key = {**self.CONFIG, "patience": 0}
+        assert self.outputs(tmp_path, "without", self.CONFIG) == self.outputs(tmp_path, "with", with_key)
 
     def test_artifacts_write_scenarios_at_15_digits(self, tmp_path):
         base = {"s_alpha": 10, "s_gamma": 1, "mu": 0.1 + 0.2, "k_regions": 1}
@@ -337,8 +343,8 @@ class TestDeterminismAndErrors:
             ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_gamma": math.nan}),
             ("risk-curve", {"k_list": [1], "mu_list": [math.nan], "p_beta_grid": [0.5]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_gamma": math.inf}]}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 0}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": -5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_sd": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 999}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "losses": []}),
             # integer keys refuse to truncate
@@ -346,7 +352,7 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 2.5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 300.5}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": 600.5}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "patience": 100.5}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 3.0000001}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": math.inf}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 2000.5}),
             ("bootstrap", {"a": [1, 2], "b": [0, 0], "n_resamples": 2000.5}),
