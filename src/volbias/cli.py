@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .minimize import bias_curve, find_switch_point
 from .regions import ScenarioSpec, _json_number, expand_scenario
 from .risk import _sd_binomial_at, _sd_binomial_table, ce_curve
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
-from .trainer import DEFAULT_LR, TrainingDivergedError, generate_dataset, train
+from .trainer import TrainingDivergedError, generate_dataset, train
 
 __all__ = ["main"]
 
@@ -124,10 +123,8 @@ def _list(cfg, key, cast=_json_number, default=None) -> list:
 
 
 def _number(cfg, key, default, cast=_json_number, minimum=None):
-    """``cfg[key]`` (``default`` when absent), cast and at least ``minimum``; None stays None where the default is None."""
+    """``cfg[key]`` (``default`` when absent), cast and at least ``minimum``."""
     value = cfg.get(key, default)
-    if value is None and default is None:
-        return None
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -217,15 +214,12 @@ def _scenario_id(spec: ScenarioSpec) -> str:
 def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     scenarios = _list(cfg, "scenarios", ScenarioSpec.from_dict)
     losses = _list(cfg, "losses", str, ["ce", "sd"])
-    if not set(losses) <= DEFAULT_LR.keys():
-        raise CliError(f"train-toy losses must be among {sorted(DEFAULT_LR)}, got {losses}")
+    if not set(losses) <= {"ce", "sd"}:
+        raise CliError(f"train-toy losses must be among ['ce', 'sd'], got {losses}")
     n_seeds = _number(cfg, "n_seeds", 1, _integer, minimum=1)
     n_images = _number(cfg, "n_images", 1000, _integer, minimum=4)  # the 60/20/20 split keeps a test image
     max_epochs = _number(cfg, "max_epochs", 4000, _integer, minimum=1)
     n_resamples = _number(cfg, "n_resamples", 10000, _integer, minimum=1000)  # bootstrap_paired's floor
-    lr_by_loss = {"ce": _number(cfg, "lr_ce", None), "sd": _number(cfg, "lr_sd", None)}
-    if not all(lr is None or 0 < lr < inf for lr in lr_by_loss.values()):
-        raise CliError("train-toy learning rates lr_ce and lr_sd must be finite and > 0")
     reports_path = _path(cfg, "reports_path", "train_reports.jsonl", out_dir)
     summary_path = _path(cfg, "summary_path", "train_summary.csv", out_dir)
 
@@ -245,13 +239,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 }
                 try:
                     dataset = generate_dataset(model, n_images, data_seed)
-                    report = train(
-                        dataset,
-                        loss_kind,
-                        lr=lr_by_loss.get(loss_kind),
-                        max_epochs=max_epochs,
-                        seed=split_seed,
-                    )
+                    report = train(dataset, loss_kind, max_epochs=max_epochs, seed=split_seed)
                 except (TrainingDivergedError, ValueError) as exc:
                     record["error"] = str(exc)
                 else:

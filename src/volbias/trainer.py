@@ -29,7 +29,6 @@ from .regions import RegionModel, sample_labelings
 from .rng import make_rng
 
 __all__ = [
-    "DEFAULT_LR",
     "ToyDataset",
     "ToyModel",
     "TrainReport",
@@ -39,8 +38,6 @@ __all__ = [
     "train",
     "empirical_volume_bias",
 ]
-
-DEFAULT_LR = {"ce": 0.1, "sd": 0.1}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -108,7 +105,7 @@ class TrainReport:
     final_loss: float
     per_region_pred: np.ndarray
     epochs_run: int
-    stop_reason: str  # "stationary" (CE optimum), "saturated" (SD endpoint) or "max_epochs"; see _fit
+    stop_reason: str  # at the optimum: "stationary" (CE) or "saturated" (SD); else "max_epochs"; see _fit
     bias_soft: float
     bias_hard: float
     model: "ToyModel" = None
@@ -142,10 +139,14 @@ def generate_dataset(model: RegionModel, n_images: int, seed: int) -> ToyDataset
 
 
 def _objective(loss_kind, configs, n, volumes):
-    """``(loss(y), grad_w(y))`` on the label support ``configs``, row i seen ``n[i]`` times.
+    """``(loss(y), grad_w(y), optimum(grad_w, r))`` on the label support ``configs``, row i seen ``n[i]`` times.
 
     ``volumes`` are the region volumes. The raw batch gradient ``grad_w`` is
-    in the region weights; its sum is the bias gradient.
+    in the region weights; its sum is the bias gradient. ``optimum`` is the
+    prediction the loss is minimized at, for the regions ``r`` (an index, or
+    all of them): for cross-entropy the label frequency; for soft-Dice the
+    endpoint that ``grad_w`` pushes the prediction toward, so a prediction
+    near an endpoint is at its optimum only while pushed strictly outward.
     """
     if loss_kind == "ce":
         # exact for 0/1 labels: the label frequencies of the images; each region weighs its volume share
@@ -154,6 +155,7 @@ def _objective(loss_kind, configs, n, volumes):
         return (
             lambda y: float(_ce_terms(mean_l, y) @ (volumes / total)),
             lambda y: (y - mean_l) * volumes / total,
+            lambda grad_w, r=slice(None): mean_l[r],
         )
     weights = n / n.sum()
     target = configs @ volumes
@@ -169,7 +171,13 @@ def _objective(loss_kind, configs, n, volumes):
         a = weights / denom
         return -2.0 * (a @ configs - a @ (inter / denom)) * y * (1.0 - y) * volumes
 
-    return lambda y: float(weights @ _sd_ratio(*terms(y))), grad_w
+    def optimum(grad_w, r=slice(None)):
+        # 1 where the gradient is negative, 0 where it is positive; a zero gradient pushes nowhere and
+        # has none (0 / 0 is NaN), e.g. a logit frozen at a huge finite value or labels that are all 0
+        grad_w = grad_w[r]
+        return 0.5 - 0.5 * grad_w / abs(grad_w)
+
+    return lambda y: float(weights @ _sd_ratio(*terms(y))), grad_w, optimum
 
 
 # Full-batch moment estimates carry no sampling noise, so a short
@@ -177,7 +185,7 @@ def _objective(loss_kind, configs, n, volumes):
 # logit in a sigmoid's tail has a gradient that decays exponentially as it
 # moves, and the second moment remembers the larger past gradients: Adam then
 # moves it by at most about -ln(_ADAM_B2) / 2 per epoch, however large the
-# learning rate (0.026 here, 0.005 at 0.99). Both stop rules wait on such
+# learning rate (0.026 here, 0.005 at 0.99). The stop test waits on such
 # logits, e.g. the CE background driven to y < 1e-6, a logit near -13.8.
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.95
@@ -187,11 +195,10 @@ _ADAM_B2 = 0.95
 # share of about 1e-9 has its whole gradient under it and never trains.
 _ADAM_EPS = 1e-8
 
-# A cross-entropy run is stationary once every region's prediction is within
-# this of its train-split label frequency, and a soft-Dice run is at its
-# endpoint once every prediction is within this of 0 or 1, both in probability
-# and in volume: a residual in probability alone would let the large certain
-# background carry a volume bias of its volume times this.
+# A run is at its optimum once every region's prediction is within this of
+# the optimum ``_objective`` names for it, both in probability and in volume:
+# a residual in probability alone would let the large certain background
+# carry a volume bias of its volume times this.
 _STATIONARY_TOL = 1e-4
 
 
@@ -215,16 +222,14 @@ def _fit(
     epsilon scales with the volume share too, so no share is too small to
     train. The learning rate is constant.
 
-    Each run stops at its optimum, checked every epoch before the step,
-    both in probability and in volume (times the region's volume). A
-    cross-entropy run stops at its stationary point (``"stationary"``),
-    once every region's residual y - mean_l against its train-split label
-    frequency is below ``_STATIONARY_TOL``; the residual is read off the CE
-    gradient, which is ``(y - mean_l) * volumes / volumes.sum()``. A
-    soft-Dice run stops at its endpoint (``"saturated"``), once every
-    region's min(y, 1 - y) is below ``_STATIONARY_TOL`` and its gradient
-    pushes it strictly outward: positive where y < 0.5, negative where
-    y > 0.5. Any other run ends after ``max_epochs`` (``"max_epochs"``).
+    Each run stops at its optimum, checked every epoch before the step by
+    one test for both losses: |y - optimum| * max(volume, 1) is below
+    ``_STATIONARY_TOL`` in every region, so judged in probability and in
+    volume, with the optimum ``_objective`` names on the train split. For
+    cross-entropy that is the label frequency (``"stationary"``); for
+    soft-Dice the endpoint the gradient pushes toward, so a prediction
+    there is pushed strictly outward (``"saturated"``). Any other run ends
+    after ``max_epochs`` (``"max_epochs"``).
     A run whose parameters are no longer finite raises
     :class:`TrainingDivergedError`; one whose bias gradient is no longer
     finite, which needs non-finite parameters, leaves the loop at once.
@@ -232,14 +237,11 @@ def _fit(
     and their loss on ``val_labels``; the validation rows take no part in
     the descent.
     """
-    _, grad_w_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), volumes)
+    _, grad_w_at, optimum_at = _objective(loss_kind, *np.unique(train_labels, axis=0, return_counts=True), volumes)
     # a residual times this is max(residual, residual * volume): judged in probability and in volume
-    endpoint_scale = np.maximum(volumes, 1.0)
-    # |grad_w| times this is the CE residual |y - mean_l| so judged, region by region
-    stationary_scale = volumes.sum() / volumes * endpoint_scale
-    # a stationary run has |g[-1]| <= sum |grad_w| < _STATIONARY_TOL * sum(1 / stationary_scale), so the
-    # bias gradient, at twice that bound to leave rounding no say, rules out most epochs before the full check
-    stationary_bound = 2.0 * _STATIONARY_TOL * (1.0 / stationary_scale).sum()
+    scale = np.maximum(volumes, 1.0)
+    # the largest region needs the deepest convergence, so its scalars rule out most epochs before the full test
+    big = int(np.argmax(volumes))
 
     theta = np.zeros(volumes.size + 1) if init is None else np.append(init.weights, init.bias)
     if theta.size != volumes.size + 1:
@@ -255,16 +257,10 @@ def _fit(
         g[-1] = grad_w.sum()
         if not abs(g[-1]) < np.inf:  # NaN or infinite: refused after the loop
             break
-        if loss_kind == "ce":
-            if abs(g[-1]) < stationary_bound and (np.abs(grad_w) * stationary_scale).max() < _STATIONARY_TOL:
-                stop_reason = "stationary"
-                break
-        # the sign test runs only at an endpoint; it is strict, so logits frozen at a huge finite value,
-        # whose gradient is exactly 0, are no endpoint and a diverging run still reaches its refusal
-        elif (np.minimum(y, 1.0 - y) * endpoint_scale).max() < _STATIONARY_TOL and np.all(
-            np.where(y < 0.5, grad_w > 0.0, grad_w < 0.0)
-        ):
-            stop_reason = "saturated"
+        if abs(y[big] - optimum_at(grad_w, big)) * scale[big] < _STATIONARY_TOL and (
+            np.abs(y - optimum_at(grad_w)) * scale
+        ).max() < _STATIONARY_TOL:
+            stop_reason = "stationary" if loss_kind == "ce" else "saturated"
             break
         g[:-1] = grad_w
         m1 *= _ADAM_B1
@@ -284,7 +280,7 @@ def _fit(
     if not np.all(np.isfinite(theta)):
         raise TrainingDivergedError(f"{loss_kind} training diverged: non-finite parameters by epoch {epoch}")
     y = sigmoid(theta[:-1] + theta[-1])
-    val_loss_at, _ = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), volumes)
+    val_loss_at = _objective(loss_kind, *np.unique(val_labels, axis=0, return_counts=True), volumes)[0]
     return theta[:-1], float(theta[-1]), epoch, stop_reason, val_loss_at(y), y
 
 
@@ -306,7 +302,7 @@ def _volume_biases(pred, volumes, labels) -> tuple[float, float]:
 def train(
     dataset: ToyDataset,
     loss_kind: str,
-    lr: float | None = None,
+    lr: float = 0.1,
     max_epochs: int = 4000,
     seed: int = 0,
     init: ToyModel | None = None,
@@ -316,21 +312,19 @@ def train(
     Images are split 60/20/20 into train/validation/test by a seeded
     permutation. Optimization is deterministic full-batch descent with
     adaptive moment scaling and a constant learning rate (see
-    :func:`_fit`). A cross-entropy run stops at its stationary point, where
-    every region's prediction matches its train-split label frequency, and
-    a soft-Dice run at its endpoint, where every prediction sits at 0 or 1
-    and the gradient pushes it further out; both are judged in probability
-    and in volume, every epoch. A run that reaches neither ends at
-    ``max_epochs`` and is not ``converged``. The last iterate is the
+    :func:`_fit`). Both losses stop by one rule, checked every epoch: every
+    region's prediction is within 1e-4 of the loss's optimum, in
+    probability and in volume. For cross-entropy the optimum is the
+    train-split label frequency, for soft-Dice the endpoint, 0 or 1, that
+    the gradient pushes the prediction toward. A run that does not reach it
+    ends at ``max_epochs`` and is not ``converged``. The last iterate is the
     trained model; its loss on the validation images is the report's
     ``final_loss``, and soft and thresholded volume biases are measured on
     the test images, in the model's volume units. The report's
-    ``stop_reason`` says which rule ended the run.
+    ``stop_reason`` says whether the run ended at its optimum.
     """
-    if loss_kind not in DEFAULT_LR:
+    if loss_kind not in ("ce", "sd"):
         raise ValueError(f"unknown loss kind {loss_kind!r}; expected 'ce' or 'sd'")
-    if lr is None:
-        lr = DEFAULT_LR[loss_kind]
     if not 0.0 < lr < np.inf:
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     if max_epochs < 1:

@@ -141,7 +141,6 @@ class TestTrainToyCommand:
         "losses": ["ce", "sd"],
         "n_seeds": 3,
         "n_images": 300,
-        "lr_sd": 0.5,
         "max_epochs": 600,
         "n_resamples": 2000,
     }
@@ -175,14 +174,20 @@ class TestTrainToyCommand:
         assert run(["train-toy", "--config", cfg, "--seed", 5, "--out", tmp_path / name]) == 0
         return {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
 
-    def test_pixels_per_unit_volume_is_not_read(self, tmp_path):
-        # the trainer works on the model's volumes: no resolution enters, so the removed key moves no byte
-        with_key = {**self.CONFIG, "pixels_per_unit_volume": 10}
-        assert self.outputs(tmp_path, "without", self.CONFIG) == self.outputs(tmp_path, "with", with_key)
-
-    def test_patience_is_not_read(self, tmp_path):
-        # a run stops at its optimum or at max_epochs: the former window key, even at a once refused 0, moves no byte
-        with_key = {**self.CONFIG, "patience": 0}
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # the trainer works on the model's volumes: no resolution enters
+            ("pixels_per_unit_volume", 10),
+            # a run stops at its optimum or at max_epochs: no saturation window, even at a once refused 0
+            ("patience", 0),
+            # both losses train at one learning rate: neither a once refused nor a once different value is read
+            ("lr_ce", 0),
+            ("lr_sd", 0.5),
+        ],
+    )
+    def test_former_key_is_not_read(self, tmp_path, key, value):
+        with_key = {**self.CONFIG, key: value}
         assert self.outputs(tmp_path, "without", self.CONFIG) == self.outputs(tmp_path, "with", with_key)
 
     def test_artifacts_write_scenarios_at_15_digits(self, tmp_path):
@@ -343,7 +348,7 @@ class TestDeterminismAndErrors:
             ("bias-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "s_gamma": math.nan}),
             ("risk-curve", {"k_list": [1], "mu_list": [math.nan], "p_beta_grid": [0.5]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "s_gamma": math.inf}]}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_sd": 0}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "losses": "ce"}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 999}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_seeds": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "losses": []}),
@@ -360,7 +365,7 @@ class TestDeterminismAndErrors:
             ("train-toy", {**TestTrainToyCommand.CONFIG, "losses": ["dice"]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_images": 3}),
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_ce": -1}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "p_beta": 1.5}]}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "n_resamples": 0}),
             ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "k_regions": 1.7}]}),
@@ -378,8 +383,8 @@ class TestDeterminismAndErrors:
             ("bootstrap", {"a": ["1", 2], "b": [0, 0]}),
             # the prediction grid needs both endpoints
             ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": 1}),
-            # JSON's Infinity passes a bare > 0 test
-            ("train-toy", {**TestTrainToyCommand.CONFIG, "lr_sd": math.inf}),
+            # JSON's Infinity passes a bare >= 1 test
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": math.inf}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):

@@ -223,7 +223,7 @@ class TestCompactPathMatchesPixelPath:
             pixel_loss = sd_batch_loss(model, images)
             pixel_grad_w, pixel_grad_b = sd_gradient(model, images)
 
-        loss_at, grad_w_at = objective_of(ds, loss_kind)
+        loss_at, grad_w_at, _ = objective_of(ds, loss_kind)
         y = sigmoid(model.weights + model.bias)
         assert loss_at(y) == pytest.approx(pixel_loss, abs=1e-12)
         compact_grad_w = grad_w_at(y)
@@ -323,7 +323,7 @@ class TestSdGradientIsRankOne:
     @given(sd_supports())
     def test_matches_the_per_configuration_formula(self, support):
         configs, n, volumes, y = support
-        _, grad_w_at = _objective("sd", configs, n, volumes)
+        _, grad_w_at, _ = _objective("sd", configs, n, volumes)
         want = per_configuration_sd_grad_w(configs, n, volumes, y)
         assert np.abs(grad_w_at(y) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -345,9 +345,9 @@ class TestCompactLossesAreExpectedLosses:
         configs = np.array(list(itertools.product(*[(0.0, 1.0) if u else (pr,) for u, pr in zip(uncertain, p)])))
         weights = np.prod(np.where(configs == 1.0, p, 1.0 - p), axis=1)
         # the exact weights stand in for image counts
-        sd_loss, _ = _objective("sd", configs, weights, volumes)
+        sd_loss = _objective("sd", configs, weights, volumes)[0]
         assert sd_loss(q) == pytest.approx(expected_sd_exhaustive(model, pred).value, abs=1e-12)
-        ce_loss, _ = _objective("ce", configs, weights, volumes)
+        ce_loss = _objective("ce", configs, weights, volumes)[0]
         assert ce_loss(q) == pytest.approx(expected_ce(model, pred).value / volumes.sum(), abs=1e-12)
 
 
@@ -498,6 +498,49 @@ class TestStopping:
         i_train = _split_indices(ds.n_images, seed)[0]
         grad_w = _objective("sd", *np.unique(ds.labels[i_train], axis=0, return_counts=True), volumes)[1](y)
         assert np.all(np.where(y < 0.5, grad_w > 0.0, grad_w < 0.0))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        k=st.integers(1, 16),
+        mu=st.floats(0.05, 8.0),
+        p=st.floats(0.05, 0.95),
+        s_alpha=st.floats(0.1, 1000.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stationary_ce_run_sits_at_the_train_frequencies(self, k, mu, p, s_alpha, seed):
+        # with a small s_alpha another region outweighs the background: the stop test checks the
+        # largest region first, and that need not be the background
+        ds = generate_dataset(expand_scenario(scenario(s_alpha, 1, mu, k, p)), 300, seed)
+        report = train(ds, "ce", seed=seed)
+        assert report.stop_reason == "stationary"
+        i_train = _split_indices(ds.n_images, seed)[0]
+        residual = np.abs(report.per_region_pred - ds.labels[i_train].mean(axis=0))
+        # in every region, in probability and in volume
+        assert (residual * np.maximum(ds.model.volumes, 1.0)).max() < 1e-4
+
+    @pytest.mark.parametrize("region, logit", [(0, -800.0), (-1, 40.0)], ids=["background_at_0", "foreground_at_1"])
+    def test_zero_gradient_is_no_sd_endpoint(self, region, logit):
+        # a saturated run with one logit moved so deep into the sigmoid's tail that its prediction is
+        # exactly 0 or 1: that region's gradient is exactly 0, pushing it to neither endpoint, so the run
+        # is not at its optimum and goes on to the cap
+        ds = self.dataset(1)
+        saturated = train(ds, "sd", max_epochs=3000, seed=13)
+        assert saturated.stop_reason == "saturated"
+        weights = saturated.model.weights.copy()
+        weights[region] = logit
+        report = train(ds, "sd", max_epochs=20, seed=13, init=ToyModel(weights, saturated.model.bias))
+        assert report.per_region_pred[region] == (1.0 if logit > 0 else 0.0)
+        assert report.stop_reason == "max_epochs" and not report.converged
+        assert report.epochs_run == 20
+
+    def test_no_foreground_label_is_no_sd_endpoint(self):
+        # with no foreground label in any image, soft-Dice is 1 at every prediction and its gradient is
+        # exactly 0: no prediction is pushed anywhere, so the run stays at 0.5 and goes on to the cap
+        ds = ToyDataset(self.dataset(1).model, np.zeros((300, 3)))
+        report = train(ds, "sd", max_epochs=30, seed=13)
+        assert np.all(report.per_region_pred == 0.5)
+        assert report.stop_reason == "max_epochs" and not report.converged
+        assert report.epochs_run == 30
 
     def test_ce_trains_a_region_of_any_volume_share(self):
         # the uncertain region's raw gradient scales with its volume share; Adam's epsilon scales
