@@ -243,7 +243,13 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 except (TrainingDivergedError, ValueError) as exc:
                     record["error"] = str(exc)
                 else:
-                    record.update(json.loads(report.to_json()))
+                    record.update(
+                        final_loss=report.final_loss,
+                        per_region_pred=report.per_region_pred.tolist(),
+                        epochs_run=report.epochs_run,
+                        bias_soft=report.bias_soft,
+                        bias_hard=report.bias_hard,
+                    )
                     cell_biases_soft.append(report.bias_soft)
                     cell_biases_hard.append(report.bias_hard)
                 report_lines.append(json.dumps(_rounded(record), sort_keys=True))

@@ -15,6 +15,7 @@ one certain foreground region (volume ``s_gamma``, probability 1).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -112,7 +113,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if not all(np.isfinite(v) and v >= 0 for v in (self.s_alpha, self.s_gamma, self.mu)):
             raise ValueError("volumes and volume ratios must be finite and >= 0")
-        if int(self.k_regions) != self.k_regions or self.k_regions < 1:
+        if int(self.k_regions) != self.k_regions or not 1 <= self.k_regions <= sys.float_info.max:
             raise ValueError(f"k_regions must be a positive integer, got {self.k_regions}")
         object.__setattr__(self, "k_regions", int(self.k_regions))
         if not 0.0 <= self.p_beta <= 1.0:

@@ -1,28 +1,18 @@
-"""Seedable, splittable random number generation.
+"""Seedable random number generation.
 
 All randomness in this package flows through Philox, a counter-based bit
-generator: streams derived from distinct seeds (or distinct spawn keys) are
-statistically independent, and a stream's output never depends on how work
-is scheduled across loops or workers.
+generator: streams from distinct seeds are statistically independent, and
+a stream's output never depends on how work is scheduled across loops or
+workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_seeds"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return a Philox-backed generator for the given integer seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def spawn_seeds(seed: int, n: int) -> list[int]:
-    """Derive ``n`` independent child seeds from a base seed.
-
-    Children are produced by the SeedSequence spawning protocol, so the
-    i-th child is a pure function of (seed, i) and distinct children never
-    collide.
-    """
-    return [int(s.generate_state(1, dtype=np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]

@@ -67,16 +67,12 @@ class CalibrationFit:
     residual_mean: float
     residual_slope: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 @dataclass(frozen=True)
 class VolumeSpecificProfile:
     """Per-decile mean true and predicted volumes, ordered by true volume."""
 
     decile_means: tuple[tuple[float, float], ...]  # (mean true, mean predicted)
-    overall_mean_true: float
 
 
 def _paired(a, b, min_pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,4 +164,4 @@ def volume_specific_profile(pred_volumes, true_volumes) -> VolumeSpecificProfile
     pred, true = _paired(pred_volumes, true_volumes, 10)
     bins = np.array_split(np.argsort(true, kind="stable"), 10)
     means = [(float(true[sel].mean()), float(pred[sel].mean())) for sel in bins]
-    return VolumeSpecificProfile(tuple(means), float(true.mean()))
+    return VolumeSpecificProfile(tuple(means))

@@ -19,7 +19,6 @@ gradient. The tests check both against a pixel-level reference built on
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,7 @@ class TrainReport:
     """Outcome of one training run plus held-out volume diagnostics.
 
     ``model`` carries the trained parameters so a later run can warm-start
-    from them; it is not part of the serialized report.
+    from them; ``train-toy`` writes neither it nor ``stop_reason``.
     """
 
     loss_kind: str
@@ -119,18 +118,6 @@ class TrainReport:
         that stalls short of it is not converged.
         """
         return self.stop_reason != "max_epochs"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "loss_kind": self.loss_kind,
-                "final_loss": self.final_loss,
-                "per_region_pred": [float(p) for p in self.per_region_pred],
-                "epochs_run": self.epochs_run,
-                "bias_soft": self.bias_soft,
-                "bias_hard": self.bias_hard,
-            }
-        )
 
 
 def generate_dataset(model: RegionModel, n_images: int, seed: int) -> ToyDataset:

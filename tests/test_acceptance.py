@@ -38,7 +38,6 @@ from volbias import (
 )
 from volbias.cli import main as cli_main
 from volbias.losses import LOG_EPS
-from volbias.rng import spawn_seeds
 from volbias.trainer import ToyModel
 
 from pixel_reference import ce_batch_loss, ce_gradient, sd_batch_loss, sd_gradient
@@ -94,7 +93,9 @@ def training_sweep():
                 for loss_kind in ("ce", "sd"):
                     cell = SweepCell(k, mu, p, loss_kind, [], [], [], [], [], [], [])
                     lr, epochs = (0.1, 2500) if loss_kind == "ce" else (0.1, 3000)
-                    for rep, seed in enumerate(spawn_seeds((SWEEP_SEED, k, int(4 * mu), int(4 * p)), N_SEEDS)):
+                    children = np.random.SeedSequence((SWEEP_SEED, k, int(4 * mu), int(4 * p))).spawn(N_SEEDS)
+                    for child in children:
+                        seed = int(child.generate_state(1, dtype=np.uint64)[0])
                         ds = generate_dataset(model, N_IMAGES, seed)
                         report = train(ds, loss_kind, lr=lr, max_epochs=epochs, seed=seed + 1)
                         i_train, _, _ = _split_indices(ds.n_images, seed + 1)

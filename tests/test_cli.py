@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volbias import BootstrapResult, CalibrationFit, ScenarioSpec, cli
+from volbias import BootstrapResult, ScenarioSpec, cli
 from volbias.cli import main
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -53,16 +53,12 @@ class TestEncoding:
         # the exact strings, key order included, that the hand-written field lists produced
         spec = ScenarioSpec(s_alpha=100.0, s_gamma=1.0, mu=0.1 + 0.2, k_regions=4, p_beta=0.25)
         boot = BootstrapResult(mean_diff=-0.5, p_greater=1 / 3, p_smaller=1e-4, n_resamples=10000, significant=True)
-        fit = CalibrationFit(slope=2.0, intercept=-0.0, n_points=3, residual_mean=1e-17, residual_slope=0.0)
         assert spec.to_json() == (
             '{"s_alpha": 100.0, "s_gamma": 1.0, "mu": 0.30000000000000004, "k_regions": 4, "p_beta": 0.25}'
         )
         assert boot.to_json() == (
             '{"mean_diff": -0.5, "p_greater": 0.3333333333333333, "p_smaller": 0.0001, '
             '"n_resamples": 10000, "significant": true}'
-        )
-        assert fit.to_json() == (
-            '{"slope": 2.0, "intercept": -0.0, "n_points": 3, "residual_mean": 1e-17, "residual_slope": 0.0}'
         )
 
 
@@ -168,6 +164,23 @@ class TestTrainToyCommand:
         lines = (tmp_path / "train_reports.jsonl").read_text().strip().split("\n")
         assert all("error" in json.loads(line) for line in lines)
 
+    def test_report_serialization_keys(self, tmp_path):
+        trained = self.CONFIG["scenarios"][0]
+        cfg_obj = {
+            **self.CONFIG,
+            "scenarios": [trained, {**trained, "s_alpha": 0}],  # the second has no background: an error line
+            "losses": ["ce"],
+            "n_seeds": 1,
+            "max_epochs": 50,
+        }
+        cfg = write_config(tmp_path, "cfg.json", cfg_obj)
+        assert run(["train-toy", "--config", cfg, "--out", tmp_path]) == 0
+        ok, failed = map(json.loads, (tmp_path / "train_reports.jsonl").read_text().strip().split("\n"))
+        cell = {"scenario", "loss_kind", "replicate"}
+        assert set(ok) == cell | {"final_loss", "per_region_pred", "epochs_run", "bias_soft", "bias_hard"}
+        assert ok["loss_kind"] == "ce" and len(ok["per_region_pred"]) == 3
+        assert set(failed) == cell | {"error"}
+
     @staticmethod
     def outputs(tmp_path, name, cfg_obj) -> dict:
         cfg = write_config(tmp_path, f"{name}.json", cfg_obj)
@@ -265,6 +278,13 @@ class TestCalibrateCommand:
         val = [(float(r["corrected_volume"]), float(r["true_volume"])) for r in out if r["split"] == "val"]
         bias = np.mean([c - t for c, t in val])
         assert abs(bias) < 0.1
+
+    def test_json_field_names(self, tmp_path):
+        self.volumes_csv(tmp_path, [(float(v), float(v), "train") for v in range(1, 21)])
+        cfg = write_config(tmp_path, "cfg.json", {"input_csv": "volumes.csv"})
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path]) == 0
+        fit = json.loads((tmp_path / "calibration_fit.json").read_text())
+        assert set(fit) == {"slope", "intercept", "n_points", "residual_mean", "residual_slope"}
 
     def test_missing_columns_fail_cleanly(self, tmp_path, capsys):
         (tmp_path / "volumes.csv").write_text("a,b\n1,2\n")
@@ -385,6 +405,10 @@ class TestDeterminismAndErrors:
             ("risk-curve", {"k_list": [1], "mu_list": [1.0], "p_beta_grid": [0.5], "p_tilde_grid_size": 1}),
             # JSON's Infinity passes a bare >= 1 test
             ("train-toy", {**TestTrainToyCommand.CONFIG, "max_epochs": math.inf}),
+            # an integer K beyond the float range cannot split a volume
+            ("risk-curve", {"k_list": [10**400], "mu_list": [1.0], "p_beta_grid": [0.5]}),
+            ("bias-curve", {"k_list": [10**400], "mu_list": [1.0], "p_beta_grid": [0.5]}),
+            ("train-toy", {**TestTrainToyCommand.CONFIG, "scenarios": [{**SCENARIO, "k_regions": 10**400}]}),
         ],
     )
     def test_malformed_scalar_fails_cleanly(self, tmp_path, capsys, monkeypatch, command, cfg_obj):

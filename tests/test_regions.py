@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ class TestExpandScenario:
     def test_rejects_zero_region_count(self):
         with pytest.raises(ValueError):
             scenario(100, 1, 1.0, 0, 0.5)
+
+    def test_rejects_region_count_beyond_float_range(self):
+        # mu * s_gamma / K needs K as a float
+        assert scenario(100, 1, 1.0, int(sys.float_info.max), 0.5).k_regions == int(sys.float_info.max)
+        with pytest.raises(ValueError, match="k_regions"):
+            scenario(100, 1, 1.0, 10**400, 0.5)
 
     def test_rejects_negative_volume(self):
         with pytest.raises(ValueError):

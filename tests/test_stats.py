@@ -1,6 +1,5 @@
 """Bootstrap test and volume re-calibration."""
 
-import json
 import math
 
 import numpy as np
@@ -146,11 +145,6 @@ class TestFitCalibration:
         with pytest.raises(ValueError, match="finite"):
             fit_calibration(v, np.where(v == 5.0, bad, v))
 
-    def test_json_field_names(self):
-        v = np.linspace(1, 10, 20)
-        obj = json.loads(fit_calibration(v, v).to_json())
-        assert set(obj) == {"slope", "intercept", "n_points", "residual_mean", "residual_slope"}
-
 
 class TestApplyCalibration:
     def test_identity_unchanged(self):
@@ -211,7 +205,6 @@ class TestVolumeSpecificProfile:
         true = rng.uniform(0, 10, 200)
         pred = np.full(200, true.mean())
         profile = volume_specific_profile(pred, true)
-        assert profile.overall_mean_true == pytest.approx(true.mean())
         diffs = [mp - mt for mt, mp in profile.decile_means]
         # over-estimates below the mean, under-estimates above it
         assert diffs[0] > 0 and diffs[-1] < 0

@@ -1,7 +1,6 @@
 """Toy logistic trainer: gradients, training behavior, volume biases."""
 
 import itertools
-import json
 import math
 import re
 
@@ -392,14 +391,6 @@ class TestTraining:
             w1, b1, *_ = _fit(ds.model.volumes, half, half, kind, 0.5, 800)
             w2, b2, *_ = _fit(ds.model.volumes, doubled, doubled, kind, 0.5, 800)
             assert np.abs(sigmoid(w1 + b1) - sigmoid(w2 + b2)).max() < 1e-6
-
-    def test_report_serialization_keys(self):
-        model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
-        ds = generate_dataset(model, 200, seed=26)
-        report = train(ds, "ce", max_epochs=50, seed=5)
-        obj = json.loads(report.to_json())
-        assert set(obj) == {"loss_kind", "final_loss", "per_region_pred", "epochs_run", "bias_soft", "bias_hard"}
-        assert obj["loss_kind"] == "ce" and len(obj["per_region_pred"]) == 3
 
     def test_unknown_loss_rejected(self):
         model = expand_scenario(scenario(10, 1, 1.0, 1, 0.5))
