@@ -107,10 +107,19 @@ def _ce_terms(p, q):
 def _sd_ratio(inter, denom):
     """Soft-Dice loss 1 - 2 * inter / denom, elementwise; 0 where denom is 0.
 
-    An empty target predicted empty is a perfect match.
+    An empty target predicted empty is a perfect match. Computed in place:
+    ``inter`` is a float array of the result's shape, ``denom`` a float
+    array that broadcasts to it, both are overwritten, and ``inter`` is
+    returned holding the result.
     """
-    positive = denom > 0.0
-    return np.where(positive, 1.0 - 2.0 * inter / np.where(positive, denom, 1.0), 0.0)
+    empty = denom > 0.0
+    np.logical_not(empty, out=empty)
+    np.copyto(denom, 1.0, where=empty)
+    inter *= 2.0
+    inter /= denom
+    np.subtract(1.0, inter, out=inter)
+    np.copyto(inter, 0.0, where=empty)
+    return inter
 
 
 def _check_same_length(a, b):

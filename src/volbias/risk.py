@@ -187,17 +187,19 @@ def _sd_table(groups, label_volume: float, overlap, pred_sum) -> np.ndarray:
     ``label_volume``, overlaps at ``overlap``; ``overlap`` and the predicted volume ``pred_sum``
     are scalars or share the predictions' grid.
     """
-    target, inter = np.array([label_volume]), overlap
+    target, inter = np.array([label_volume]), np.array(overlap, dtype=float, ndmin=2)
     for size, volume, q in groups:
         counts = np.arange(size + 1) * volume
         inter = (counts[:, None, None] * q + inter).reshape(counts.size * target.size, -1)
         target = (counts[:, None] + target).ravel()
-    target = target[:, None] + pred_sum  # the denominators; rebinding frees the label volumes
-    return _sd_ratio(inter, target)
+    # the denominators; a scalar predicted volume is added in place of the label volumes
+    denom = np.add(target, pred_sum, out=target)[:, None] if np.ndim(pred_sum) == 0 else target[:, None] + pred_sum
+    return _sd_ratio(inter, denom)
 
 
 def _expected_sd(logw: np.ndarray, table: np.ndarray) -> np.ndarray:
-    return np.maximum(np.exp(logw) @ table, 0.0)  # E[SD] >= 0, but 1 - 2I/D can round below 0
+    """E[SD] from log weights, which are overwritten by the weights, and a table."""
+    return np.maximum(np.exp(logw, out=logw) @ table, 0.0)  # E[SD] >= 0, but 1 - 2I/D can round below 0
 
 
 def _binomial_log_weights(k: int, p) -> np.ndarray:

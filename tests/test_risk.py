@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,16 @@ def scenario(s_alpha, s_gamma, mu, k, p):
 def mc_sample_labels(model, n, seed):
     """One labeling per seed in ``seed .. seed + n - 1``, as ``sample_labeling`` draws it."""
     return np.concatenate([sample_labelings(model, 1, s) for s in range(seed, seed + n)])
+
+
+def traced_peak_mib(compute):
+    """The peak of the memory that numpy and Python allocate while ``compute()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def exact_binomial_weights(k, p):
@@ -152,6 +163,16 @@ class TestExpectedSdExhaustive:
         se = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - expected_sd_exhaustive(model, pred).value) < 4 * se
 
+    def test_memory_at_20_uncertain_regions(self):
+        # 2**20 configurations: the table, its denominators and the log weights, one 8 MiB array each,
+        # with the soft-Dice ratio, the predicted volume and the weights computed in place
+        rng = np.random.default_rng(0)
+        volumes = np.concatenate(([50.0], rng.uniform(0.05, 2.0, 20), [3.0]))
+        probs = np.concatenate(([0.0], rng.uniform(0.05, 0.95, 20), [1.0]))
+        model = RegionModel(tuple(Region(float(v), float(p)) for v, p in zip(volumes, probs)))
+        pred = PredictionAssignment(np.clip(probs + 0.1, 0.0, 1.0))
+        assert traced_peak_mib(lambda: expected_sd_exhaustive(model, pred)) <= 21.0
+
 
 class TestExpectedSdBinomial:
     def test_hand_binomial_sum_overestimation(self):
@@ -183,6 +204,12 @@ class TestExpectedSdBinomial:
                         ex = expected_sd_exhaustive(model, scenario_prediction(model, q)).value
                         bi = expected_sd_binomial(spec, q).value
                         assert abs(ex - bi) < 1e-12 and abs(ex - batched) < 1e-12
+
+    def test_memory_at_large_k(self):
+        # a (K+1) x Q table and its denominators at K = 3 * 10**4, Q = 101: 23 MiB each; the bound
+        # still grows with K
+        spec, qs = scenario(10, 1, 1.0, 30_000, 0.25), np.linspace(0, 1, 101)
+        assert traced_peak_mib(lambda: sd_binomial_curve(spec, qs)) <= 55.0
 
     @pytest.mark.parametrize("k", [16, 384])
     def test_log_space_weights_match_exact_binomial(self, k):

@@ -1,16 +1,28 @@
 """Bootstrap test and volume re-calibration."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volbias
 from volbias import (
     apply_calibration,
     bootstrap_paired,
     fit_calibration,
+    stats,
     volume_specific_profile,
 )
+from volbias.rng import make_rng
+
+
+def resample_means(d, n_resamples, seed):
+    """The bootstrap's resample means from one index matrix drawn by ``Generator.integers``."""
+    return d[make_rng(seed).integers(0, d.size, size=(n_resamples, d.size))].mean(axis=1)
 
 
 class TestBootstrapPaired:
@@ -47,20 +59,69 @@ class TestBootstrapPaired:
         assert r1.mean_diff == pytest.approx(r2.mean_diff, abs=1e-12)
 
     def test_chunked_resampling_matches_one_index_matrix(self):
-        from volbias import stats
-        from volbias.rng import make_rng
-
-        n, n_resamples = 600, 2000  # 1747 + 253 rows at the module's chunk size
-        assert n * n_resamples > stats._RESAMPLE_CHUNK
+        n, n_resamples = 600, 2000  # 9 whole word blocks and part of a 10th
+        assert n * n_resamples > stats._BLOCK_WORDS
         rng = np.random.default_rng(4)
         a, b = rng.normal(size=n), rng.normal(size=n)
         out = bootstrap_paired(a, b, n_resamples=n_resamples, seed=17)
         d = a - b
-        means = d[make_rng(17).integers(0, n, size=(n_resamples, n))].mean(axis=1)
+        means = resample_means(d, n_resamples, 17)
         assert out.mean_diff == float(d.mean())
         assert out.p_greater == (np.count_nonzero(means <= 0.0) + 1) / (n_resamples + 1)
         assert out.p_smaller == (np.count_nonzero(means >= 0.0) + 1) / (n_resamples + 1)
         assert 0.05 < out.p_greater < 0.95  # both counts are informative
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_resamples_on_any_number_of_cores(self, monkeypatch, workers):
+        monkeypatch.setattr(stats.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        assert stats._cores() == workers
+        # 2 million words at n = 10**5, of which about 31 are skipped (2**32 mod n = 67 296): the
+        # blocks drawn ahead fall short and inline ones finish the last row. A short switch
+        # interval interleaves the workers finely, so a block buffer reused too early shows.
+        d = np.random.default_rng(5).normal(size=10**5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            means = stats._resample_means(d, 20, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(means.view(np.int64), resample_means(d, 20, 8).view(np.int64))
+        a, b = np.random.default_rng(6).normal(size=(2, 600))
+        d = a - b
+        out = bootstrap_paired(a, b, n_resamples=2000, seed=3)
+        means = resample_means(d, 2000, 3)
+        assert (out.p_greater, out.p_smaller) == (
+            (np.count_nonzero(means <= 0.0) + 1) / 2001,
+            (np.count_nonzero(means >= 0.0) + 1) / 2001,
+        )
+
+    @pytest.mark.parametrize("n, size", [(3 << 30, 2 * stats._BLOCK_WORDS), (2, 20_000)])
+    def test_word_blocks_draw_what_integers_draws(self, n, size):
+        # At n = 3 * 2**30 a quarter of the words are skipped. n = 2 is a train-toy cell:
+        # 10 000 resamples of 2 pairs, which one block serves.
+        words, prod = np.empty(stats._BLOCK_WORDS // 2, "<u8"), np.empty(stats._BLOCK_WORDS, "<u8")
+        blocks, start = [], 0
+        while sum(map(len, blocks)) < size:
+            blocks.append(stats._block_indices(23, n, start, words, prod).copy())
+            start += stats._BLOCK_WORDS
+        assert np.array_equal(np.concatenate(blocks)[:size], make_rng(23).integers(0, n, size))
+        skipped = 1.0 - len(blocks[0]) / stats._BLOCK_WORDS
+        assert skipped == (0.0 if n == 2 else pytest.approx(0.25, abs=0.01))
+        assert len(blocks) == (1 if n == 2 else 3)
+
+    def test_refuses_2_to_the_32_pairs(self):
+        # numpy draws 64-bit indices from there on; the views hold no memory
+        many = np.broadcast_to(0.0, 2**32)
+        with pytest.raises(ValueError, match="at most"):
+            bootstrap_paired(many, many, n_resamples=2000, seed=0)
+
+    def test_import_leaves_the_thread_pool_out(self):
+        # the pool's import costs milliseconds and is made only for a bootstrap of several blocks
+        src = str(Path(volbias.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, volbias; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.stdout.strip() == "False", done.stderr
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
