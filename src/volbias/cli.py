@@ -29,7 +29,7 @@ import numpy as np
 
 from .minimize import bias_curve, find_switch_point
 from .regions import ScenarioSpec, _json_number, expand_scenario
-from .risk import _sd_binomial_at, _sd_binomial_table, ce_curve
+from .risk import _sd_binomial, ce_curve
 from .stats import apply_calibration, bootstrap_paired, fit_calibration, volume_specific_profile
 from .trainer import TrainingDivergedError, generate_dataset, train
 
@@ -177,11 +177,11 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     lines = ["k,mu,p_beta,p_tilde,expected_sd,expected_ce"]
     for k in k_list:
         for mu in mu_list:
-            table = _sd_binomial_table(k, mu, s_gamma, qs)  # one for every p
+            sd_at = _sd_binomial(k, mu, s_gamma, qs)  # one for every p
             for p in p_grid:
                 spec = ScenarioSpec(s_alpha=s_alpha, s_gamma=s_gamma, mu=mu, k_regions=k, p_beta=p)
                 prefix = f"{_fmt(k)},{_fmt(mu)},{_fmt(p)},"
-                columns = zip(q_col, _column(_sd_binomial_at(table, p)), _column(ce_curve(spec, qs)))
+                columns = zip(q_col, _column(sd_at(p)), _column(ce_curve(spec, qs)))
                 lines.extend(prefix + ",".join(cells) for cells in columns)
     _atomic_write(path, "\n".join(lines) + "\n")
 

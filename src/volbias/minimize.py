@@ -43,6 +43,12 @@ from L to 1, g(L - d) >= s d and g(L + d) <= -s d; so at delta_K =
 c/(s K), g >= c/K at L - delta_K and g <= -c/K at L + delta_K. Hence
 gap_K >= g > 0 below L and gap_K(L + delta_K) <= 0: L < p*_K <= L +
 delta_K, and the switch point tends to L(mu) < 1/2 at rate 1/K.
+
+The 1/K term. With G(x) = SD(x, 1) - SD(x, 0), gap_K(p) = E[G(x)], and
+the third and fourth central moments of x are O(1/K^2), so gap_K(p) =
+G(mu p) + G''(mu p) mu^2 p (1-p)/(2K) + O(1/K^2). At x = mu L, where
+x (x + 2) = mu, the root moves by -G''(x) mu L (1 - L)/(2K G'(x)) =
+(1/2 - L)/K: p*_K = L + (1/2 - L)/K + O(1/K^2), 1/2 at K = 1 as it must.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .regions import RegionModel, ScenarioSpec
-from .risk import PredictionAssignment, _sd_binomial_at, _sd_binomial_table, sd_binomial_curve
+from .risk import PredictionAssignment, _sd_binomial, sd_binomial_curve
 
 __all__ = [
     "BiasPoint",
@@ -115,10 +121,10 @@ def bias_curve(k: int, mu: float, p_grid: Sequence[float], s_gamma: float = 1.0)
     """
     # soft-Dice never reads the background, so s_alpha = 0 changes nothing
     specs = [ScenarioSpec(0.0, s_gamma, mu, k, p) for p in p_grid]  # each p is checked
-    table = _sd_binomial_table(k, mu, s_gamma, (0.0, 1.0))  # one for every p
+    sd_at = _sd_binomial(k, mu, s_gamma, (0.0, 1.0))  # one for every p
     points = []
     for p, spec in zip(p_grid, specs):
-        opt = _endpoint_minimum(_sd_binomial_at(table, spec.p_beta))
+        opt = _endpoint_minimum(sd_at(spec.p_beta))
         err = opt.p_tilde_opt - p
         points.append(BiasPoint(float(p), opt.p_tilde_opt, float(err), float(mu * s_gamma * err)))
     return points
@@ -135,10 +141,10 @@ def find_switch_point(k: int, mu: float, tol: float = 1e-6, s_gamma: float = 1.0
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    table = _sd_binomial_table(k, mu, s_gamma, (0.0, 1.0))  # one, held across the bisection
+    sd_at = _sd_binomial(k, mu, s_gamma, (0.0, 1.0))  # one, held across the bisection
 
     def gap(p: float) -> float:
-        at_0, at_1 = _sd_binomial_at(table, p)
+        at_0, at_1 = sd_at(p)
         return at_1 - at_0
 
     lo, hi = 0.0, 1.0

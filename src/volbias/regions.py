@@ -113,6 +113,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if not all(np.isfinite(v) and v >= 0 for v in (self.s_alpha, self.s_gamma, self.mu)):
             raise ValueError("volumes and volume ratios must be finite and >= 0")
+        if not np.isfinite(self.mu * self.s_gamma):
+            raise ValueError(f"the uncertain volume mu * s_gamma must be finite, got {self.mu} * {self.s_gamma}")
         if int(self.k_regions) != self.k_regions or not 1 <= self.k_regions <= sys.float_info.max:
             raise ValueError(f"k_regions must be a positive integer, got {self.k_regions}")
         object.__setattr__(self, "k_regions", int(self.k_regions))

@@ -347,6 +347,7 @@ class TestDeterminismAndErrors:
             {"k_list": [1.7]},
             {"p_beta_grid": [0.5, 1.5]},
             {"p_beta_grid": [-0.1]},
+            {"mu_list": [1e308], "s_gamma": 10},  # an uncertain volume mu * s_gamma beyond the float range
         ],
     )
     def test_malformed_grid_fails_cleanly(self, tmp_path, capsys, command, override):

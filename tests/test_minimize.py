@@ -146,7 +146,7 @@ class TestBiasCurve:
     @settings(deadline=None, max_examples=60)
     @given(k=st.integers(1, 300), mu=SPAN, s_gamma=SPAN, inner=st.lists(st.floats(0.0, 1.0), max_size=12))
     def test_equals_the_minimizer_one_p_at_a_time(self, k, mu, s_gamma, inner):
-        # bias_curve shares one soft-Dice table across p; sd_minimizer builds its own per p
+        # bias_curve shares one soft-Dice kernel across p; sd_minimizer builds its own per p
         grid = [0.0, *inner, 1.0]
         for pt, p in zip(bias_curve(k, mu, grid, s_gamma=s_gamma), grid):
             opt = sd_minimizer(scenario(0.0, s_gamma, mu, k, p))
@@ -231,7 +231,7 @@ class TestSwitchPoint:
         tol=st.sampled_from([1e-6, 1e-9]),
     )
     def test_equals_a_bisection_over_the_public_curve(self, k, mu, s_gamma, tol):
-        # find_switch_point holds one soft-Dice table across its bisection; this one builds a scenario per step
+        # find_switch_point holds one soft-Dice kernel across its bisection; this one builds a scenario per step
         def gap(p):
             at_0, at_1 = sd_binomial_curve(scenario(0.0, s_gamma, mu, k, p), (0.0, 1.0))
             return at_1 - at_0
@@ -262,6 +262,13 @@ class TestSwitchPoint:
         s = mu / ((2.0 + mu) * (1.0 - limit))
         sw = find_switch_point(k, mu, tol=tol)
         assert limit - tol <= sw <= limit + c / (s * k) + tol
+
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 4.0])
+    def test_large_k_first_order_term(self, mu):
+        # The minimize docstring's expansion: p*_K = L + (1/2 - L)/K + O(1/K^2).
+        k, limit = 4096, (np.sqrt(1.0 + mu) - 1.0) / mu
+        sw = find_switch_point(k, mu, tol=1e-12)
+        assert abs(k * (sw - limit) - (0.5 - limit)) < 1e-3
 
     def test_switch_brackets_the_argmin_flip(self):
         sw = find_switch_point(4, 4.0, tol=1e-9)

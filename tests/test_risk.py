@@ -26,7 +26,6 @@ from volbias import (
     sd_binomial_curve,
 )
 from volbias.losses import LOG_EPS
-from volbias.risk import _binomial_log_weights
 
 
 def scenario(s_alpha, s_gamma, mu, k, p):
@@ -52,6 +51,20 @@ def exact_binomial_weights(k, p):
     """Binomial(k, p) probabilities in exact rational arithmetic, rounded once."""
     p = Fraction(p)
     return np.array([float(math.comb(k, m) * p**m * (1 - p) ** (k - m)) for m in range(k + 1)])
+
+
+def windowed_binomial_weights(k, p):
+    """The counts m within 12 standard deviations plus 40 of k p and their exact Binomial(k, p)
+    probabilities, each rounded once; by Bernstein's inequality the counts left out weigh under 2e-26."""
+    a, d = Fraction(p).as_integer_ratio()  # p = a / d, 1 - p = b / d
+    b, spread = d - a, 12.0 * math.sqrt(k * p * (1 - p)) + 40.0
+    lo, hi = max(0, math.floor(k * p - spread)), min(k, math.ceil(k * p + spread))
+    scaled = math.comb(k, lo) * a**lo * b ** (k - lo)  # C(k, m) a^m b^(k - m): the probability times d^k
+    weights, scale = [], d**k
+    for m in range(lo, hi + 1):
+        weights.append(scaled / scale)  # a quotient of integers is rounded once
+        scaled = scaled * (k - m) * a // ((m + 1) * b)  # exact: the next count's C(k, m) a^m b^(k - m)
+    return np.arange(lo, hi + 1), np.array(weights)
 
 
 def binomial_reference(spec, qs):
@@ -164,8 +177,8 @@ class TestExpectedSdExhaustive:
         assert abs(samples.mean() - expected_sd_exhaustive(model, pred).value) < 4 * se
 
     def test_memory_at_20_uncertain_regions(self):
-        # 2**20 configurations: the table, its denominators and the log weights, one 8 MiB array each,
-        # with the soft-Dice ratio, the predicted volume and the weights computed in place
+        # 2**20 configurations: the table and its denominators, one 8 MiB array each; the soft-Dice
+        # ratio and the predicted volume are computed in place, and the log weights reuse the denominators
         rng = np.random.default_rng(0)
         volumes = np.concatenate(([50.0], rng.uniform(0.05, 2.0, 20), [3.0]))
         probs = np.concatenate(([0.0], rng.uniform(0.05, 0.95, 20), [1.0]))
@@ -205,18 +218,24 @@ class TestExpectedSdBinomial:
                         bi = expected_sd_binomial(spec, q).value
                         assert abs(ex - bi) < 1e-12 and abs(ex - batched) < 1e-12
 
-    def test_memory_at_large_k(self):
-        # a (K+1) x Q table and its denominators at K = 3 * 10**4, Q = 101: 23 MiB each; the bound
-        # still grows with K
-        spec, qs = scenario(10, 1, 1.0, 30_000, 0.25), np.linspace(0, 1, 101)
-        assert traced_peak_mib(lambda: sd_binomial_curve(spec, qs)) <= 55.0
+    @pytest.mark.parametrize("k", [10**3, 10**9])
+    def test_memory_does_not_grow_with_k(self, k):
+        # a nodes x Q kernel, a few hundred nodes whatever K is
+        spec, qs = scenario(10, 1, 1.0, k, 0.25), np.linspace(0, 1, 101)
+        assert traced_peak_mib(lambda: sd_binomial_curve(spec, qs)) <= 1.0
+
+    @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e6])
+    def test_matches_exact_weights_at_large_k(self, mu):
+        k, qs = 30_000, np.array([0.0, 0.3, 0.5, 1.0])
+        for p in (2.0**-10, 0.25, 0.5, 0.875):  # dyadic p keeps the exact weights' integers short
+            m, weights = windowed_binomial_weights(k, p)
+            x = m * (mu / k)  # the uncertain label volume, in units of s_gamma
+            reference = [math.fsum(weights * (1.0 - 2.0 * (1.0 + x * q) / (2.0 + x + mu * q))) for q in qs]
+            assert np.max(np.abs(sd_binomial_curve(scenario(10, 1, mu, k, p), qs) - reference)) <= 1e-14
 
     @pytest.mark.parametrize("k", [16, 384])
-    def test_log_space_weights_match_exact_binomial(self, k):
-        for p in (0.001, 0.05, 0.3, 0.5, 0.75, 0.97):
-            weights = np.exp(_binomial_log_weights(k, p)[0])
-            assert np.max(np.abs(weights - exact_binomial_weights(k, p))) <= 1e-13
-        # a certain p_beta forms no group: it folds into the fixed label volume
+    def test_certain_p_beta_folds_into_the_label_volume(self, k):
+        # a certain p_beta labels every configuration alike: the closed form, not the integral
         qs = np.linspace(0, 1, 11)
         for p in (0.0, 1.0):
             spec = scenario(100, 1, 2.0, k, p)
