@@ -1,10 +1,13 @@
 """Command-line sweeps writing CSV/JSON artifacts for offline plotting.
 
 Every subcommand is a pure function of its JSON config file and the --seed
-flag: rerunning with the same inputs reproduces the output files byte for
-byte. Files are written atomically (temp file, then rename). A CSV cell
-holds text verbatim, nothing for a missing value, and a number at 15
-significant digits, so an integer has no decimal point.
+flag that returns its artifacts as (path, text) pairs: rerunning with the same
+inputs reproduces them byte for byte. ``main`` writes all of them, each
+atomically (temp file, then rename), or none: a numpy overflow, a non-finite
+number and output paths that coincide or lie one under another are refused
+before the first file is written. A CSV cell holds text verbatim, nothing for
+a missing value, and a number at 15 significant digits, so an integer has no
+decimal point.
 
 Subcommands:
   risk-curve   expected CE and SD losses over a prediction grid
@@ -20,6 +23,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -37,17 +41,21 @@ __all__ = ["main"]
 
 
 def _fmt(x) -> str:
-    """Render a CSV cell: text verbatim, None empty, a number at 15 significant digits.
+    """Render a CSV cell: text verbatim, None empty, a finite number at 15 significant digits.
 
     ``.15g`` writes an integer below 10**15 exactly and without a decimal point.
     """
-    if isinstance(x, str):
-        return x
-    return "" if x is None else f"{x:.15g}"
+    if isinstance(x, str) or x is None:
+        return x or ""
+    if not math.isfinite(x):
+        raise ValueError(f"a result is not finite: {x}")
+    return f"{x:.15g}"
 
 
 def _column(values: np.ndarray) -> list[str]:
     """The CSV cells of a float array, as ``_fmt`` writes each number."""
+    if not np.isfinite(values).all():
+        raise ValueError("a result is not finite")
     return list(map("{:.15g}".format, values.tolist()))
 
 
@@ -60,22 +68,27 @@ def _rounded(obj):
     return float(f"{obj:.15g}") if isinstance(obj, float) else obj
 
 
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _csv(header: list[str], rows: list[list]) -> str:
+    return "\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _json(obj, indent=None) -> str:
+    """``obj`` as one JSON text and a newline, its floats at 15 significant digits; a non-finite one is an error."""
+    return json.dumps(_rounded(obj), indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_json(path: Path, result):
-    """The dataclass ``result`` as indented JSON, its floats at 15 significant digits."""
-    _atomic_write(path, json.dumps(_rounded(asdict(result)), indent=2, sort_keys=True) + "\n")
+def _write(artifacts: list[tuple[Path, str]]) -> None:
+    """Write each (path, text) by temp file and rename, once no path is a directory or overlaps another."""
+    paths = [Path(os.path.abspath(path)) for path, _ in artifacts]  # lexically: resolve() stats every part
+    for i, a in enumerate(paths):
+        if a.is_dir() or any(a == b or a in b.parents or b in a.parents for b in paths[:i]):
+            raise CliError(f"output path {a} is a directory or overlaps another output path")
+    for path, _ in artifacts:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    for path, text in artifacts:
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
 
 
 def _load_config(path: str) -> tuple[dict, Path]:
@@ -122,8 +135,8 @@ def _list(cfg, key, cast=_json_number, default=None) -> list:
         raise CliError(f"config key {key!r} holds a bad entry: {exc}")
 
 
-def _number(cfg, key, default, cast=_json_number, minimum=None):
-    """``cfg[key]`` (``default`` when absent), cast and at least ``minimum``."""
+def _number(cfg, key, default, cast=_json_number, minimum=None, maximum=None):
+    """``cfg[key]`` (``default`` when absent), cast and at least ``minimum``, at most ``maximum``."""
     value = cfg.get(key, default)
     try:
         number = cast(value)
@@ -131,6 +144,8 @@ def _number(cfg, key, default, cast=_json_number, minimum=None):
         raise CliError(f"config key {key!r} must be {'an integer' if cast is _integer else 'a number'}, got {value!r}")
     if minimum is not None and not number >= minimum:
         raise CliError(f"config key {key!r} must be >= {minimum}, got {value!r}")
+    if maximum is not None and number > maximum:
+        raise CliError(f"config key {key!r} must be <= {maximum}, got {value!r}")
     return number
 
 
@@ -167,10 +182,12 @@ def _grid(cfg: dict) -> tuple[list[int], list[float], list[float], float]:
     return (*lists, _number(cfg, "s_gamma", 1.0))
 
 
-def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
+def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> list[tuple[Path, str]]:
     k_list, mu_list, p_grid, s_gamma = _grid(cfg)
     s_alpha = _number(cfg, "s_alpha", 100.0)  # the cross-entropy scores the background
-    qs = np.linspace(0.0, 1.0, _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2))
+    # at most numpy's largest float64 array: from 2**63 - 1 points on, linspace fails with an IndexError
+    q_count = _number(cfg, "p_tilde_grid_size", 101, _integer, minimum=2, maximum=np.iinfo(np.intp).max // 8)
+    qs = np.linspace(0.0, 1.0, q_count)
     path = _path(cfg, "output_path", "risk_curve.csv", out_dir)
 
     q_col = _column(qs)  # written column by column
@@ -183,10 +200,10 @@ def cmd_risk_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 prefix = f"{_fmt(k)},{_fmt(mu)},{_fmt(p)},"
                 columns = zip(q_col, _column(sd_at(p)), _column(ce_curve(spec, qs)))
                 lines.extend(prefix + ",".join(cells) for cells in columns)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return [(path, "\n".join(lines) + "\n")]
 
 
-def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
+def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> list[tuple[Path, str]]:
     k_list, mu_list, p_grid, s_gamma = _grid(cfg)
     switch_tol = _number(cfg, "switch_tol", 1e-6)
     path = _path(cfg, "output_path", "bias_curve.csv", out_dir)
@@ -197,11 +214,7 @@ def cmd_bias_curve(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
             switch = find_switch_point(k, mu, tol=switch_tol, s_gamma=s_gamma)
             for pt in bias_curve(k, mu, p_grid, s_gamma=s_gamma):
                 rows.append([k, mu, pt.p_beta, pt.p_tilde_opt, pt.prob_error, pt.volume_bias, switch])
-    _write_csv(
-        path,
-        ["k", "mu", "p_beta", "p_tilde_opt", "prob_error", "volume_bias", "switch_point"],
-        rows,
-    )
+    return [(path, _csv(["k", "mu", "p_beta", "p_tilde_opt", "prob_error", "volume_bias", "switch_point"], rows))]
 
 
 def _scenario_id(spec: ScenarioSpec) -> str:
@@ -211,7 +224,7 @@ def _scenario_id(spec: ScenarioSpec) -> str:
     )
 
 
-def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
+def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> list[tuple[Path, str]]:
     scenarios = _list(cfg, "scenarios", ScenarioSpec.from_dict)
     losses = _list(cfg, "losses", str, ["ce", "sd"])
     if not set(losses) <= {"ce", "sd"}:
@@ -240,7 +253,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 try:
                     dataset = generate_dataset(model, n_images, data_seed)
                     report = train(dataset, loss_kind, max_epochs=max_epochs, seed=split_seed)
-                except (TrainingDivergedError, ValueError) as exc:
+                except (TrainingDivergedError, ValueError, FloatingPointError) as exc:
                     record["error"] = str(exc)
                 else:
                     record.update(
@@ -252,7 +265,7 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                     )
                     cell_biases_soft.append(report.bias_soft)
                     cell_biases_hard.append(report.bias_hard)
-                report_lines.append(json.dumps(_rounded(record), sort_keys=True))
+                report_lines.append(_json(record))
             if len(cell_biases_soft) >= 2:
                 boot = bootstrap_paired(
                     np.array(cell_biases_soft),
@@ -273,8 +286,8 @@ def cmd_train_toy(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
                 ]
             )
 
-    _atomic_write(reports_path, "\n".join(report_lines) + "\n")
-    _write_csv(summary_path, ["scenario", "loss", "bias_soft", "bias_hard", "p_boot"], summary_rows)
+    summary = _csv(["scenario", "loss", "bias_soft", "bias_hard", "p_boot"], summary_rows)
+    return [(reports_path, "".join(report_lines)), (summary_path, summary)]
 
 
 def _read_csv_columns(path: Path, numeric: list[str], text: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
@@ -304,7 +317,7 @@ def _read_csv_columns(path: Path, numeric: list[str], text: tuple[str, ...] = ()
     return columns
 
 
-def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
+def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> list[tuple[Path, str]]:
     input_csv = _path(cfg, "input_csv", None, cfg_dir)
     fit_path = _path(cfg, "fit_path", "calibration_fit.json", out_dir)
     corrected_path = _path(cfg, "corrected_path", "calibrated.csv", out_dir)
@@ -321,22 +334,18 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
     fit = fit_calibration(pred[train_mask], true[train_mask])
     corrected = apply_calibration(fit, pred)
 
-    _write_json(fit_path, fit)
-
     rows = [[t, p, s, c] for t, p, s, c in zip(true, pred, split, corrected)]
-    _write_csv(corrected_path, ["true_volume", "pred_volume", "split", "corrected_volume"], rows)
-
+    header = ["true_volume", "pred_volume", "split", "corrected_volume"]
+    artifacts = [(fit_path, _json(asdict(fit), 2)), (corrected_path, _csv(header, rows))]
     if np.count_nonzero(val_mask) >= 10:
         for path, volumes in ((before_path, pred), (after_path, corrected)):
             profile = volume_specific_profile(volumes[val_mask], true[val_mask])
-            _write_csv(
-                path,
-                ["decile", "mean_true_volume", "mean_pred_volume"],
-                [[i, t, p] for i, (t, p) in enumerate(profile.decile_means)],
-            )
+            rows = [[i, t, p] for i, (t, p) in enumerate(profile.decile_means)]
+            artifacts.append((path, _csv(["decile", "mean_true_volume", "mean_pred_volume"], rows)))
+    return artifacts
 
 
-def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
+def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> list[tuple[Path, str]]:
     n_resamples = _number(cfg, "n_resamples", 10000, _integer)
     path = _path(cfg, "output_path", "bootstrap.json", out_dir)
     if "input_csv" in cfg:
@@ -346,7 +355,7 @@ def cmd_bootstrap(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> None:
         a = np.array(_list(cfg, "a"))
         b = np.array(_list(cfg, "b"))
     result = bootstrap_paired(a, b, n_resamples=n_resamples, seed=seed)
-    _write_json(path, result)
+    return [(path, _json(asdict(result), 2))]
 
 
 _COMMANDS = {
@@ -381,9 +390,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg, cfg_dir = _load_config(args.config)
         out_dir = Path(args.out)
         _check_out_dir(out_dir)
-        _COMMANDS[args.command](cfg, args.seed, out_dir, cfg_dir)
-    except (CliError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no text
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            artifacts = _COMMANDS[args.command](cfg, args.seed, out_dir, cfg_dir)
+        _write(artifacts)
+    except (CliError, ValueError, OSError, MemoryError, FloatingPointError) as exc:
+        overflowed = "a computation overflowed: " * isinstance(exc, FloatingPointError)
+        print(f"error: {overflowed}{str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no text
         return 1
     return 0
 

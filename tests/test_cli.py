@@ -1,15 +1,20 @@
 """Command-line interface: schemas, values, determinism, error handling."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volbias import BootstrapResult, ScenarioSpec, cli
 from volbias.cli import main
@@ -48,6 +53,12 @@ class TestEncoding:
     )
     def test_csv_cell(self, cell, text):
         assert cli._fmt(cell) == text
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_refused(self, bad):
+        for render in (cli._fmt, lambda x: cli._column(np.array([0.5, x])), lambda x: cli._json({"x": [x]})):
+            with pytest.raises(ValueError):
+                render(bad)
 
     def test_to_json_strings_are_pinned(self):
         # the exact strings, key order included, that the hand-written field lists produced
@@ -554,3 +565,198 @@ class TestDeterminismAndErrors:
         for out in (out1, out2):
             assert run(["risk-curve", "--config", cfg, "--seed", 11, "--out", out]) == 0
         assert (out1 / "risk_curve.csv").read_bytes() == (out2 / "risk_curve.csv").read_bytes()
+
+
+def run_in_process(work: Path, command: str, cfg_obj: dict) -> tuple[int, str, list[Path]]:
+    """Run ``command`` on ``cfg_obj`` with ``--out work/out``: its exit code, its stderr and the files under ``--out``."""
+    cfg = write_config(work, "cfg.json", cfg_obj)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([command, "--config", cfg, "--out", work / "out"])
+    return code, err.getvalue(), sorted(p for p in (work / "out").rglob("*") if p.is_file())
+
+
+def assert_one_error_line(stderr: str):
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+
+
+class TestAllOrNothing:
+    """Every artifact is rendered and checked before the first file is written, so a failed run writes none."""
+
+    TINY_TRAINING = {**TestTrainToyCommand.CONFIG, "n_seeds": 1, "n_images": 40, "max_epochs": 5, "n_resamples": 1000}
+    HUGE_CURVE = {"k_list": [1], "mu_list": [1.7e308], "p_beta_grid": [0.5, 1.0], "s_gamma": 1}
+
+    @staticmethod
+    def volumes(tmp_path, rows=None):
+        rows = rows or [(float(v), float(v), "train" if v % 2 else "val") for v in range(1, 25)]
+        return TestCalibrateCommand.volumes_csv(tmp_path, rows)
+
+    @pytest.mark.parametrize(
+        "command, cfg_obj",
+        [
+            # one output path under another: the fit would be written before the corrected CSV fails
+            ("calibrate", {"input_csv": "volumes.csv", "corrected_path": "calibration_fit.json/x.csv"}),
+            # two artifacts at one path: the second would overwrite the first
+            ("calibrate", {"input_csv": "volumes.csv", "profile_before_path": "p.csv", "profile_after_path": "p.csv"}),
+            ("train-toy", {**TINY_TRAINING, "reports_path": "x", "summary_path": "x"}),
+            # an output path that is a directory: the rename would fail and leave the temp file
+            ("bootstrap", {"a": [1, 2], "b": [0, 0], "n_resamples": 1000, "output_path": "taken"}),
+            # finite pairs whose mean overflows, and whose resample means overflow
+            ("bootstrap", {"a": [1e308] * 3, "b": [0, 0, 0], "n_resamples": 1000}),
+            ("bootstrap", {"a": [1e308, -1e308, 0], "b": [0, 0, 0], "n_resamples": 1000}),
+            # finite volumes whose variance overflows
+            ("calibrate", {"input_csv": "huge.csv"}),
+            # a soft-Dice denominator 2 (mu + 1) s_gamma beyond the float range
+            ("bias-curve", HUGE_CURVE),
+            ("risk-curve", {**HUGE_CURVE, "p_tilde_grid_size": 3}),
+        ],
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, command, cfg_obj):
+        (tmp_path / "out" / "taken").mkdir(parents=True)
+        rows = [(1e308, 1e308, "train"), (1.0, -1e308, "train"), (2.0, 3.0, "train"), (4.0, 5.0, "val")]
+        TestCalibrateCommand.volumes_csv(tmp_path, rows).rename(tmp_path / "huge.csv")
+        self.volumes(tmp_path)
+        code, stderr, files = run_in_process(tmp_path, command, cfg_obj)
+        assert code == 1
+        assert_one_error_line(stderr)
+        assert files == []
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_failed_run_changes_no_byte_of_earlier_artifacts(self, tmp_path):
+        self.volumes(tmp_path)
+        assert run_in_process(tmp_path, "calibrate", {"input_csv": "volumes.csv"})[0] == 0
+        before = {p: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert len(before) == 4
+        self.volumes(tmp_path, [(1e308, 1e308, "train"), (1.0, -1e308, "train"), (2.0, 3.0, "train")])
+        code, stderr, _ = run_in_process(tmp_path, "calibrate", {"input_csv": "volumes.csv"})
+        assert code == 1
+        assert_one_error_line(stderr)
+        assert {p: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+    def test_overflowing_cell_is_an_error_record(self, tmp_path):
+        # the first scenario trains; in the second, the label volumes overflow their mean
+        good = TestTrainToyCommand.CONFIG["scenarios"][0]
+        huge = {"s_alpha": 9e307, "s_gamma": 8e307, "mu": 0.1, "k_regions": 1, "p_beta": 0.75}
+        cfg_obj = {**self.TINY_TRAINING, "scenarios": [good, huge], "n_seeds": 2, "max_epochs": 20}
+        code, stderr, _ = run_in_process(tmp_path, "train-toy", cfg_obj)
+        assert (code, stderr) == (0, "")
+        records = [json.loads(line) for line in (tmp_path / "out" / "train_reports.jsonl").read_text().splitlines()]
+        assert len(records) == 8  # 2 scenarios x 2 losses x 2 seeds
+        assert all("error" not in r for r in records[:4])
+        assert all("overflow" in r["error"] for r in records[4:])
+        rows = read_rows(tmp_path / "out" / "train_summary.csv")
+        assert [bool(r["p_boot"]) for r in rows] == [True, True, False, False]
+
+
+# Adversarial finite JSON values: the float range's ends, a subnormal, signed and unsigned zeros, integers past int64
+# and past the float range, and values of the wrong type.
+ODD = [1e308, -1e308, 5e-324, -0.0, 0, -1, 2**63, 10**400, "1", None, True, [], {"a": 1}]
+# A key that sets an amount of work (n_seeds, max_epochs, a trained region count) takes only values it refuses, so
+# that a valid draw stays tiny: a huge valid n_seeds or max_epochs is a long run, and train-toy materializes one
+# region object per trained region, so a huge valid k_regions would exhaust memory before any check could fail.
+REFUSED_COUNTS = [0, -1, -0.0, 5e-324, 2.5, 10**400, "1", None, True]
+
+
+def odd_list(*typical) -> st.SearchStrategy:
+    entry = st.one_of(st.sampled_from(typical), st.sampled_from(ODD))
+    return st.one_of(st.lists(entry, min_size=1, max_size=3), st.sampled_from(ODD))
+
+
+def mutated(base: dict, odd: dict) -> st.SearchStrategy:
+    """``base``, a valid tiny config, with up to two keys set to values drawn from ``odd``'s strategy for the key."""
+    keys = st.lists(st.sampled_from(sorted(odd)), max_size=2, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: odd[k] for k in ks})).map(lambda d: {**base, **d})
+
+
+def assert_contract(code: int, stderr: str, files: list[Path]):
+    """Exit 0 with every written number finite, or exit 1 with one ``error:`` line and no file."""
+    if code != 0:
+        assert code == 1
+        assert_one_error_line(stderr)
+        assert files == []
+        return
+    assert stderr == "" and files
+    for path in files:
+        text = path.read_text()
+        if path.suffix == ".csv":
+            for cell in (c for line in text.splitlines()[1:] for c in line.split(",")):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell)), (path.name, cell)
+        else:
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=lambda c: pytest.fail(f"{path.name} holds {c}"))
+
+
+def run_contract(command: str, cfg_obj: dict, csv_text: str | None = None):
+    with tempfile.TemporaryDirectory() as work:
+        if csv_text is not None:
+            (Path(work) / "input.csv").write_text(csv_text)
+        assert_contract(*run_in_process(Path(work), command, cfg_obj))
+
+
+CURVE = {"k_list": [1, 4], "mu_list": [0.25, 1.0], "p_beta_grid": [0.0, 0.5, 1.0], "s_gamma": 1.0}
+ODD_CURVE = {
+    "k_list": odd_list(1, 4),
+    "mu_list": odd_list(0.25, 1.0),
+    "p_beta_grid": odd_list(0.0, 0.5, 1.0),
+    "s_gamma": st.sampled_from(ODD),
+}
+SCENARIO = {"s_alpha": 10.0, "s_gamma": 1.0, "mu": 1.0, "k_regions": 1, "p_beta": 0.75}
+ODD_SCENARIO = {key: st.sampled_from(REFUSED_COUNTS if key == "k_regions" else ODD) for key in SCENARIO}
+TRAINING = {"n_seeds": 2, "n_images": 10, "max_epochs": 3, "n_resamples": 1000, "losses": ["ce", "sd"]}
+ODD_TRAINING = {
+    "scenarios": st.sampled_from(ODD),
+    "n_seeds": st.sampled_from(REFUSED_COUNTS),
+    "n_images": st.sampled_from(ODD),
+    "max_epochs": st.sampled_from(REFUSED_COUNTS),
+    "n_resamples": st.sampled_from(ODD),
+    "losses": odd_list("ce", "sd"),
+}
+ODD_CELLS = ["1e308", "-1e308", "5e-324", "-0.0", str(2**63), "1" + "0" * 400, "x", ""]
+PAIR_VALUES = [1.5, 0.0, 2.0, 1e308, -1e308, 5e-324, -0.0, 10**400, "1"]
+
+
+class TestErrorContract:
+    """Generative: every config either writes finite artifacts or ends in the single ``error:`` line."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        cfg=mutated(
+            {**CURVE, "p_tilde_grid_size": 3, "s_alpha": 100.0},
+            {**ODD_CURVE, "p_tilde_grid_size": st.sampled_from(ODD), "s_alpha": st.sampled_from(ODD)},
+        )
+    )
+    def test_risk_curve(self, cfg):
+        run_contract("risk-curve", cfg)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(cfg=mutated({**CURVE, "switch_tol": 1e-6}, {**ODD_CURVE, "switch_tol": st.sampled_from(ODD)}))
+    def test_bias_curve(self, cfg):
+        run_contract("bias-curve", cfg)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(cfg=mutated({**SCENARIO, **TRAINING}, {**ODD_SCENARIO, **ODD_TRAINING}), two_scenarios=st.booleans())
+    def test_train_toy(self, cfg, two_scenarios):
+        scenario = {key: cfg.pop(key) for key in SCENARIO}  # the second, when there are two, is valid
+        run_contract("train-toy", {"scenarios": [scenario, SCENARIO][: 1 + two_scenarios], **cfg})
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        n_rows=st.integers(0, 24),
+        odd=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 1), st.sampled_from(ODD_CELLS)), max_size=3),
+    )
+    def test_calibrate(self, n_rows, odd):
+        rows = [[str(v), str(1.5 * v + 2), "train" if v % 2 else "val"] for v in range(1, n_rows + 1)]
+        for i, column, cell in odd:
+            if i < n_rows:
+                rows[i][column] = cell
+        text = "true_volume,pred_volume,split\n" + "".join(",".join(row) + "\n" for row in rows)
+        run_contract("calibrate", {"input_csv": "input.csv"}, text)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from(PAIR_VALUES), st.sampled_from(PAIR_VALUES)), min_size=1, max_size=4),
+        cfg=mutated({"n_resamples": 1000}, {key: st.sampled_from(ODD) for key in ("a", "b", "n_resamples")}),
+    )
+    def test_bootstrap(self, pairs, cfg):
+        run_contract("bootstrap", {"a": [a for a, _ in pairs], "b": [b for _, b in pairs], **cfg})
