@@ -326,6 +326,9 @@ def cmd_calibrate(cfg: dict, seed: int, out_dir: Path, cfg_dir: Path) -> list[tu
     )
     cols = _read_csv_columns(input_csv, ["true_volume", "pred_volume"], ("split",))
     true, pred, split = cols["true_volume"], cols["pred_volume"], cols["split"]
+    for c in ("true_volume", "pred_volume"):
+        if (cols[c] < 0.0).any():
+            raise CliError(f"{input_csv} column {c!r} holds a negative volume")
 
     train_mask = split == "train"
     val_mask = split == "val"

@@ -48,8 +48,13 @@ def _probabilities(values, name: str = "probabilities") -> np.ndarray:
     return _checked(values, name, lambda p: (p >= 0.0) & (p <= 1.0), "lie in [0, 1]")
 
 
+def _binary(v: np.ndarray) -> np.ndarray:
+    """Where ``v`` is exactly 0 or 1; NaN is neither."""
+    return (v == 0.0) | (v == 1.0)
+
+
 def _binary_labels(values) -> np.ndarray:
-    return _checked(values, "labels", lambda v: (v == 0.0) | (v == 1.0), "be 0 or 1")
+    return _checked(values, "labels", _binary, "be 0 or 1")
 
 
 @dataclass(frozen=True)

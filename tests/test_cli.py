@@ -252,6 +252,17 @@ class TestCalibrateCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_negative_volume_fails_cleanly(self, tmp_path, capsys, column):
+        rows = [[1.0, 2.0, "train"], [2.0, 3.0, "train"], [3.0, 5.0, "train"], [4.0, 6.0, "val"]]
+        rows[3][column] = -5.0  # a validation row: the fit never sees it
+        self.volumes_csv(tmp_path, rows)
+        cfg = write_config(tmp_path, "cfg.json", {"input_csv": "volumes.csv"})
+        assert run(["calibrate", "--config", cfg, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "negative volume" in err
+        assert not (tmp_path / "out").exists()
+
     def test_identity_data_unchanged(self, tmp_path):
         rows = [(float(v), float(v), "train" if v % 2 else "val") for v in range(1, 25)]
         self.volumes_csv(tmp_path, rows)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from volbias import (
@@ -26,7 +26,7 @@ from volbias import (
     sd_minimizer,
     train,
 )
-from volbias.trainer import _fit, _objective, _split_indices, sigmoid
+from volbias.trainer import _fit, _objective, _split_indices, _support, sigmoid
 
 from pixel_reference import (
     ce_batch_loss,
@@ -93,6 +93,15 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match=r"regions \[0, 2\] have zero volume"):
             ToyDataset(model, np.zeros((5, 3)))
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, math.nan])
+    def test_non_binary_label_raises(self, bad):
+        # the trainer packs each label row into bits, exact only for labels that are exactly 0 or 1
+        model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
+        labels = np.zeros((5, 3))
+        labels[2, 1] = bad
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            ToyDataset(model, labels)
+
     @pytest.mark.parametrize("n_images", [0, -3])
     def test_no_images_rejected(self, n_images):
         model = expand_scenario(scenario(100, 1, 1.0, 1, 0.5))
@@ -125,6 +134,29 @@ class TestGenerateDataset:
         for r, c in enumerate(pixel_counts(ds, 4)):
             assert np.all(labels[start : start + c] == ds.labels[1, r])
             start += c
+
+
+class TestSupport:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n_rows=st.integers(1, 300),
+        n_cols=st.integers(1, 70),
+        n_distinct=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_rows=1, n_cols=70, n_distinct=1, seed=0)
+    @example(n_rows=300, n_cols=9, n_distinct=1, seed=0)
+    def test_equals_row_unique(self, n_rows, n_cols, n_distinct, seed):
+        # one byte, several bytes and more than 64 bits a row; a pool of n_distinct rows makes repeats,
+        # and a pool of one makes every row equal
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2, (n_distinct, n_cols)).astype(float)
+        labels = pool[rng.integers(0, n_distinct, n_rows)]
+        configs, counts = _support(labels)
+        expected_configs, expected_counts = np.unique(labels, axis=0, return_counts=True)
+        assert configs.dtype == expected_configs.dtype and configs.shape == expected_configs.shape
+        assert configs.tobytes() == expected_configs.tobytes()
+        assert counts.dtype == expected_counts.dtype and counts.tobytes() == expected_counts.tobytes()
 
 
 class TestForward:
