@@ -10,6 +10,7 @@ so a single implementation serves both granularities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,19 +34,34 @@ __all__ = [
 LOG_EPS = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _checked(values, name: str, valid, rule: str) -> np.ndarray:
-    """A read-only 1-D float copy of ``values``, each entry passing ``valid``, which NaN must fail."""
+    """A read-only 1-D float copy of ``values`` on which ``valid`` holds; NaN must fail it."""
     v = np.array(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not valid(v).all():
+    if not valid(v):
         raise ValueError(f"{name} must {rule}")
-    v.flags.writeable = False
-    return v
+    return _read_only(v)
+
+
+# One reduction per bound: a NaN entry makes the reduction NaN, which fails the comparison. An empty
+# array passes by its size, not by ``initial=``: on the bench ``train`` workload that form read about
+# 0.3 MiB more peak RSS.
+def _in_unit_interval(v: np.ndarray) -> bool:
+    return v.size == 0 or (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) <= 1.0)
+
+
+def _finite_nonnegative(v: np.ndarray) -> bool:
+    return v.size == 0 or (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < np.inf)
 
 
 def _probabilities(values, name: str = "probabilities") -> np.ndarray:
-    return _checked(values, name, lambda p: (p >= 0.0) & (p <= 1.0), "lie in [0, 1]")
+    return _checked(values, name, _in_unit_interval, "lie in [0, 1]")
 
 
 def _binary(v: np.ndarray) -> np.ndarray:
@@ -54,7 +70,7 @@ def _binary(v: np.ndarray) -> np.ndarray:
 
 
 def _binary_labels(values) -> np.ndarray:
-    return _checked(values, "labels", _binary, "be 0 or 1")
+    return _checked(values, "labels", lambda v: _binary(v).all(), "be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -67,11 +83,21 @@ class _Map:
     def __post_init__(self):
         values = self._check(self.values)
         weights = np.ones_like(values) if self.weights is None else self.weights
-        weights = _checked(weights, "weights", lambda w: (w >= 0.0) & (w < np.inf), "be finite and >= 0")
+        weights = _checked(weights, "weights", _finite_nonnegative, "be finite and >= 0")
         if weights.shape != values.shape:
             raise ValueError(f"weights shape {weights.shape} does not match values shape {values.shape}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
+
+    def __reduce__(self):
+        # a copied or unpickled array would be writable and the cached logs stale: rebuild through the checks
+        return type(self), (self.values, self.weights)
+
+    # built on first use, then shared: read-only so no caller can change the map through them
+    @cached_property
+    def _logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The clamped ``log q`` and ``log(1 - q)`` of the values, as :func:`cross_entropy` reads them."""
+        return tuple(_read_only(a) for a in _clamped_logs(self.values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -103,10 +129,15 @@ class VolumeErrorReport:
     relative_abs_delta_v: float | None
 
 
-def _ce_terms(p, q):
-    """Expected CE per entry, -p log q - (1-p) log(1-q), with q clamped by LOG_EPS."""
-    q = np.clip(q, LOG_EPS, 1.0 - LOG_EPS)
-    return -p * np.log(q) - (1.0 - p) * np.log(1.0 - q)
+def _clamped_logs(q):
+    """``log q`` and ``log(1 - q)``, q clamped to [LOG_EPS, 1 - LOG_EPS]: ``np.clip``'s bits at half its cost."""
+    q = np.minimum(np.maximum(q, LOG_EPS), 1.0 - LOG_EPS)
+    return np.log(q), np.log(1.0 - q)
+
+
+def _ce_terms(p, log_q, log_1q):
+    """Expected CE per entry, -p log q - (1-p) log(1-q), from the logs of :func:`_clamped_logs`."""
+    return -p * log_q - (1.0 - p) * log_1q
 
 
 def _sd_ratio(inter, denom):
@@ -136,10 +167,12 @@ def cross_entropy(target: SoftMap | HardMap, pred: SoftMap) -> float:
     """Weighted cross-entropy between target probabilities and predictions.
 
     Element weights are taken from the target map. Predictions are clamped
-    away from {0, 1} by ``LOG_EPS`` before the logs.
+    away from {0, 1} by ``LOG_EPS`` before the logs. A map takes its logs
+    once, on first use, so scoring one prediction against many targets
+    pays for them once.
     """
     _check_same_length(target, pred)
-    return float(target.weights @ _ce_terms(target.values, pred.values))
+    return float(target.weights @ _ce_terms(target.values, *pred._logs))
 
 
 def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap | HardMap) -> float:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .losses import _binary_labels
+from .losses import _binary_labels, _read_only
 from .rng import make_rng
 
 __all__ = [
@@ -81,11 +81,6 @@ class RegionModel:
 
     def __len__(self) -> int:
         return len(self.regions)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _json_number(value, cast=float):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _ce_terms, _probabilities, _sd_ratio
+from .losses import _ce_terms, _clamped_logs, _probabilities, _sd_ratio
 from .regions import RegionModel, ScenarioSpec
 
 __all__ = [
@@ -51,6 +51,10 @@ class PredictionAssignment:
 
     def __post_init__(self):
         object.__setattr__(self, "p_pred", _probabilities(self.p_pred, "predicted probabilities"))
+
+    def __reduce__(self):
+        # a copied or unpickled array would be writable: rebuild through the check
+        return type(self), (self.p_pred,)
 
     def __len__(self) -> int:
         return self.p_pred.size
@@ -99,7 +103,7 @@ def expected_ce(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:
     enumeration is ever needed.
     """
     _check_assignment(model, pred)
-    value = float(model.volumes @ _ce_terms(model.probabilities, pred.p_pred))
+    value = float(model.volumes @ _ce_terms(model.probabilities, *_clamped_logs(pred.p_pred)))
     return ExpectedLoss(value, config_count=1, method="closed_form")
 
 
@@ -112,8 +116,8 @@ def ce_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
     add up to one region of volume mu * s_gamma.
     """
     q = _probabilities(p_tilde, "predictions")
-    certain = spec.s_alpha * _ce_terms(0.0, 0.0) + spec.s_gamma * _ce_terms(1.0, 1.0)
-    return certain + spec.mu * spec.s_gamma * _ce_terms(spec.p_beta, q)
+    certain = spec.s_alpha * _ce_terms(0.0, *_clamped_logs(0.0)) + spec.s_gamma * _ce_terms(1.0, *_clamped_logs(1.0))
+    return certain + spec.mu * spec.s_gamma * _ce_terms(spec.p_beta, *_clamped_logs(q))
 
 
 def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:

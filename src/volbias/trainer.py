@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SoftMap, _binary, _ce_terms, _sd_ratio, threshold, volume_of
+from .losses import SoftMap, _binary, _ce_terms, _clamped_logs, _sd_ratio, threshold, volume_of
 from .regions import RegionModel, sample_labelings
 from .rng import make_rng
 
@@ -157,7 +157,7 @@ def _objective(loss_kind, configs, n, volumes):
         mean_l = n @ configs / n.sum()
         total = volumes.sum()
         return (
-            lambda y: float(_ce_terms(mean_l, y) @ (volumes / total)),
+            lambda y: float(_ce_terms(mean_l, *_clamped_logs(y)) @ (volumes / total)),
             lambda y: (y - mean_l) * volumes / total,
             lambda grad_w, r=slice(None): mean_l[r],
         )

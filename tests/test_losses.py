@@ -1,9 +1,13 @@
 """Losses and metrics: hand values, conventions, and structural properties."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volbias import (
     HardMap,
@@ -16,6 +20,31 @@ from volbias import (
     volume_error_report,
     volume_of,
 )
+from volbias.losses import LOG_EPS
+
+TINY = 5e-324  # the smallest subnormal
+ABOVE_ONE = 1.0 + 2.0**-52
+# (entry, accepted) for each rule, as the elementwise masks (v >= 0) & (v <= 1), (v >= 0) & (v < inf) and
+# (v == 0) | (v == 1) decide them; the one-reduction-per-bound checks must agree
+EDGES = [(-TINY, False), (math.inf, False), (-math.inf, False), (math.nan, False)]
+PROBABILITY_EDGES = EDGES + [(-0.0, True), (TINY, True), (1.0, True), (ABOVE_ONE, False)]
+LABEL_EDGES = EDGES + [(-0.0, True), (1.0, True), (TINY, False), (ABOVE_ONE, False)]
+WEIGHT_EDGES = EDGES + [(-0.0, True), (TINY, True), (1.7e308, True)]
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda m: pickle.loads(pickle.dumps(m)),
+}
+
+
+def bits(x: float) -> str:
+    return float(x).hex()
+
+
+def clipped_ce(target, pred) -> float:
+    """Weighted CE with ``np.clip`` and fresh logs: the reference the cached logs must match bit for bit."""
+    p, q = target.values, np.clip(pred.values, LOG_EPS, 1 - LOG_EPS)
+    return float(target.weights @ (-p * np.log(q) - (1 - p) * np.log(1 - q)))
 
 
 class TestMapInputs:
@@ -34,6 +63,49 @@ class TestMapInputs:
         for map_type in (SoftMap, HardMap):
             with pytest.raises(ValueError, match="finite"):
                 map_type([1.0, 0.0], weights=[1.0, weight])
+
+    @pytest.mark.parametrize(
+        "map_type, edges", [(SoftMap, PROBABILITY_EDGES), (HardMap, LABEL_EDGES)], ids=["soft", "hard"]
+    )
+    def test_value_edges(self, map_type, edges):
+        for value, accepted in edges:
+            if accepted:
+                assert bits(map_type([1.0, value]).values[1]) == bits(value)
+            else:
+                with pytest.raises(ValueError, match="must"):
+                    map_type([1.0, value])
+
+    @pytest.mark.parametrize("map_type", [SoftMap, HardMap])
+    def test_weight_edges(self, map_type):
+        for weight, accepted in WEIGHT_EDGES:
+            if accepted:
+                assert bits(map_type([1.0, 0.0], weights=[1.0, weight]).weights[1]) == bits(weight)
+            else:
+                for values, weights in (([1.0, 0.0], [1.0, weight]), ([1.0], [weight])):
+                    with pytest.raises(ValueError, match="finite and >= 0"):
+                        map_type(values, weights=weights)
+
+    @pytest.mark.parametrize("map_type", [SoftMap, HardMap])
+    def test_empty_accepted_and_two_dimensional_refused(self, map_type):
+        assert len(map_type([])) == 0 and len(map_type([], weights=[])) == 0
+        with pytest.raises(ValueError, match="one-dimensional"):
+            map_type([[1.0, 0.0]])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            map_type([1.0, 0.0], weights=[[1.0, 1.0]])
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_copies_rebuild_read_only(self, clone):
+        target = HardMap([1, 0, 1], weights=[2.0, 0.5, 1.0])
+        pred = SoftMap([0.5, 0.25, 0.0], weights=[2.0, 0.5, 1.0])
+        expected = cross_entropy(target, pred)  # takes pred's logs
+        for m in (target, pred):
+            other = clone(m)
+            assert type(other) is type(m) and "_logs" not in vars(other)
+            assert other.values.tolist() == m.values.tolist() and other.weights.tolist() == m.weights.tolist()
+            assert not other.values.flags.writeable and not other.weights.flags.writeable
+        other_pred = clone(pred)
+        assert bits(cross_entropy(clone(target), other_pred)) == bits(expected)
+        assert not any(a.flags.writeable for a in other_pred._logs)
 
     def test_maps_own_read_only_copies(self):
         values, weights = np.array([0.25, 1.0]), np.array([2.0, 3.0])
@@ -73,6 +145,44 @@ class TestCrossEntropy:
             floor = cross_entropy(y, SoftMap(y.values, y.weights))
             q = SoftMap(rng.random(n), weights=y.weights)
             assert cross_entropy(y, q) >= floor - 1e-10
+
+    def test_one_map_scores_many_targets_as_fresh_maps_do(self):
+        rng = np.random.default_rng(41)
+        w = rng.uniform(0.05, 2.0, 18)
+        q = np.concatenate(([0.0, 1.0, LOG_EPS], rng.random(15)))
+        pred = SoftMap(q, weights=w)
+        for _ in range(50):
+            target = HardMap(rng.integers(0, 2, q.size), weights=w)
+            assert bits(cross_entropy(target, pred)) == bits(cross_entropy(target, SoftMap(q, weights=w)))
+        assert pred._logs is pred._logs
+
+    def test_cached_logs_are_read_only(self):
+        pred = SoftMap([0.5, 0.0, 1.0])
+        log_q, log_1q = pred._logs
+        for a in (log_q, log_1q):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert log_q[1] == math.log(LOG_EPS) and log_1q[2] == math.log(1 - (1 - LOG_EPS))
+
+
+NEAR_EPS = [LOG_EPS, 1 - LOG_EPS] + [np.nextafter(x, t) for x in (LOG_EPS, 1 - LOG_EPS) for t in (0.0, 1.0)]
+PREDICTION = st.one_of(st.sampled_from([0.0, 1.0] + NEAR_EPS), st.floats(0.0, 1e-11), st.floats(0.0, 1.0))
+
+
+class TestCrossEntropyBits:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        entries=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]), PREDICTION, st.floats(0.0, 1e3)),
+            max_size=8,
+        ),
+        hard=st.booleans(),
+    )
+    def test_equals_the_clipped_formula(self, entries, hard):
+        soft_p, labels, q, w = (list(c) for c in zip(*entries)) if entries else ([], [], [], [])
+        target = HardMap(labels, weights=w) if hard else SoftMap(soft_p, weights=w)
+        pred = SoftMap(q, weights=w)
+        assert bits(cross_entropy(target, pred)) == bits(clipped_ce(target, pred))
 
 
 class TestSoftDice:

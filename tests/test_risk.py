@@ -1,7 +1,9 @@
 """Exact expected losses: hand enumerations, route equivalence, Monte Carlo."""
 
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -342,6 +344,13 @@ class TestPredictionAssignment:
             for bad in ([0.5, 1.2], [-0.1], [np.nan], [[0.5]]):
                 with pytest.raises(ValueError):
                     check(bad)
+
+    def test_copies_rebuild_read_only(self):
+        model = expand_scenario(scenario(100, 1, 1.0, 2, 0.5))
+        pred = PredictionAssignment([0.0, 0.25, 0.5, 1.0])
+        for other in (copy.copy(pred), copy.deepcopy(pred), pickle.loads(pickle.dumps(pred))):
+            assert other.p_pred.tolist() == [0.0, 0.25, 0.5, 1.0] and not other.p_pred.flags.writeable
+            assert expected_ce(model, other).value.hex() == expected_ce(model, pred).value.hex()
 
     def test_scenario_prediction_shape(self):
         spec = scenario(100, 1, 4.0, 4, 0.5)
