@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -78,7 +79,11 @@ def _json(obj, indent=None) -> str:
 
 
 def _write(artifacts: list[tuple[Path, str]]) -> None:
-    """Write each (path, text) by temp file and rename, once no path is a directory or overlaps another."""
+    """Write each (path, text) by temp file and rename, once no path is a directory or overlaps another.
+
+    A temp file is hidden, pid-tagged and made only where no file exists (``O_EXCL``), so no file but an
+    artifact is replaced or removed; as any new file, it takes mode 0o666 less the umask.
+    """
     paths = [Path(os.path.abspath(path)) for path, _ in artifacts]  # lexically: resolve() stats every part
     for i, a in enumerate(paths):
         if a.is_dir() or any(a == b or a in b.parents or b in a.parents for b in paths[:i]):
@@ -86,7 +91,13 @@ def _write(artifacts: list[tuple[Path, str]]) -> None:
     for path, _ in artifacts:
         path.parent.mkdir(parents=True, exist_ok=True)
     for path, text in artifacts:
-        tmp = path.with_name(path.name + ".tmp")
+        for n in itertools.count():
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{n}.tmp")
+            try:
+                os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                break
+            except FileExistsError:
+                continue
         tmp.write_text(text)
         os.replace(tmp, path)
 

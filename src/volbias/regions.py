@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .losses import _binary_labels, _read_only
+from .losses import SoftMap, _binary_labels
 from .rng import make_rng
 
 __all__ = [
@@ -54,7 +53,10 @@ class RegionModel:
     """An ordered collection of independent regions.
 
     Volumes are dimensionless, so results read relative to the
-    certain-foreground volume.
+    certain-foreground volume. ``map`` is the regions' foreground
+    probabilities weighted by their volumes, one read-only
+    :class:`~volbias.losses.SoftMap`; ``probabilities`` and ``volumes`` are
+    its values and weights.
     """
 
     regions: tuple[Region, ...]
@@ -65,19 +67,16 @@ class RegionModel:
             raise ValueError("a region model needs at least one region")
         if not 0 < sum(r.volume for r in self.regions) < np.inf:
             raise ValueError("total volume must be positive and finite")
+        # a copy or pickle of the model rebuilds the map through its checks, so its arrays stay read-only
+        object.__setattr__(self, "map", SoftMap([r.p_fg for r in self.regions], [r.volume for r in self.regions]))
 
-    # built on first access, then shared: read-only so no caller can change the model through them
-    @cached_property
+    @property
     def volumes(self) -> np.ndarray:
-        return _read_only(np.array([r.volume for r in self.regions]))
+        return self.map.weights
 
-    @cached_property
+    @property
     def probabilities(self) -> np.ndarray:
-        return _read_only(np.array([r.p_fg for r in self.regions]))
-
-    def __getstate__(self):
-        # a copied or unpickled array would be writable: leave the arrays out and rebuild them
-        return {"regions": self.regions}
+        return self.map.values
 
     def __len__(self) -> int:
         return len(self.regions)
@@ -159,12 +158,8 @@ def expand_scenario(spec: ScenarioSpec) -> RegionModel:
     foreground]. Zero-volume regions are legal and contribute nothing.
     """
     beta_volume = spec.mu * spec.s_gamma / spec.k_regions
-    regions = (
-        [Region(spec.s_alpha, 0.0)]
-        + [Region(beta_volume, spec.p_beta) for _ in range(spec.k_regions)]
-        + [Region(spec.s_gamma, 1.0)]
-    )
-    return RegionModel(tuple(regions))
+    uncertain = [Region(beta_volume, spec.p_beta)] * spec.k_regions  # one immutable region K times: checked once
+    return RegionModel((Region(spec.s_alpha, 0.0), *uncertain, Region(spec.s_gamma, 1.0)))
 
 
 def sample_labelings(model: RegionModel, n: int, seed: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _ce_terms, _clamped_logs, _probabilities, _sd_ratio
+from .losses import SoftMap, _ce_terms, _check_same_length, _clamped_logs, _probabilities, _sd_ratio, cross_entropy
 from .regions import RegionModel, ScenarioSpec
 
 __all__ = [
@@ -43,21 +43,12 @@ class TooManyUncertainRegionsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PredictionAssignment:
-    """One predicted foreground probability per region."""
+class PredictionAssignment(SoftMap):
+    """One predicted foreground probability per region, each of unit weight."""
 
-    p_pred: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_pred", _probabilities(self.p_pred, "predicted probabilities"))
-
-    def __reduce__(self):
-        # a copied or unpickled array would be writable: rebuild through the check
-        return type(self), (self.p_pred,)
-
-    def __len__(self) -> int:
-        return self.p_pred.size
+    @property
+    def p_pred(self) -> np.ndarray:
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -91,20 +82,14 @@ def scenario_prediction(model: RegionModel, p_tilde_beta: float) -> PredictionAs
     return PredictionAssignment(np.concatenate(([0.0], np.full(len(model) - 2, p_tilde_beta), [1.0])))
 
 
-def _check_assignment(model: RegionModel, pred: PredictionAssignment):
-    if len(pred) != len(model):
-        raise ValueError(f"assignment has {len(pred)} entries for {len(model)} regions")
-
-
 def expected_ce(model: RegionModel, pred: PredictionAssignment) -> ExpectedLoss:
     """Expected volume-weighted cross-entropy, exact by linearity.
 
-    Each region contributes volume * [-p log q - (1-p) log(1-q)]; no
+    Each region contributes volume * [-p log q - (1-p) log(1-q)]: the
+    cross-entropy against the model's own probability map, so no
     enumeration is ever needed.
     """
-    _check_assignment(model, pred)
-    value = float(model.volumes @ _ce_terms(model.probabilities, *_clamped_logs(pred.p_pred)))
-    return ExpectedLoss(value, config_count=1, method="closed_form")
+    return ExpectedLoss(cross_entropy(model.map, pred), config_count=1, method="closed_form")
 
 
 def ce_curve(spec: ScenarioSpec, p_tilde) -> np.ndarray:
@@ -126,7 +111,7 @@ def expected_sd_exhaustive(model: RegionModel, pred: PredictionAssignment) -> Ex
     All 2^U configurations of the U uncertain regions are enumerated, each
     weighted by its probability; identical regions are never merged.
     """
-    _check_assignment(model, pred)
+    _check_same_length(model, pred)
     s, p, q = model.volumes, model.probabilities, pred.p_pred
 
     uncertain = (p > 0.0) & (p < 1.0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SoftMap, _binary, _ce_terms, _clamped_logs, _sd_ratio, threshold, volume_of
+from .losses import SoftMap, _binary, _sd_ratio, cross_entropy, threshold, volume_of
 from .regions import RegionModel, sample_labelings
 from .rng import make_rng
 
@@ -153,11 +153,13 @@ def _objective(loss_kind, configs, n, volumes):
     near an endpoint is at its optimum only while pushed strictly outward.
     """
     if loss_kind == "ce":
-        # exact for 0/1 labels: the label frequencies of the images; each region weighs its volume share
-        mean_l = n @ configs / n.sum()
+        # exact for 0/1 labels: the label frequencies of the images; each region weighs its volume share.
+        # The minimum is a no-op for image counts; real weights in their place can round a frequency past 1
+        mean_l = np.minimum(n @ configs / n.sum(), 1.0)
         total = volumes.sum()
+        target = SoftMap(mean_l, volumes / total)
         return (
-            lambda y: float(_ce_terms(mean_l, *_clamped_logs(y)) @ (volumes / total)),
+            lambda y: cross_entropy(target, SoftMap(y)),
             lambda y: (y - mean_l) * volumes / total,
             lambda grad_w, r=slice(None): mean_l[r],
         )

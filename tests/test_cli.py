@@ -659,6 +659,35 @@ class TestAllOrNothing:
         assert [bool(r["p_boot"]) for r in rows] == [True, True, False, False]
 
 
+class TestWriterTouchesOnlyItsArtifacts:
+    """No temp file takes the name of an artifact or of an existing file: no other file is replaced or removed."""
+
+    def test_an_artifact_named_like_a_temp_file_survives(self, tmp_path):
+        # the corrected CSV's temp file was <path>.tmp: it overwrote the fit written there and renamed it away
+        runs = {}
+        for name, cfg_obj in (("default", {}), ("renamed", {"fit_path": "calibrated.csv.tmp"})):
+            (tmp_path / name).mkdir()
+            TestAllOrNothing.volumes(tmp_path / name)
+            cfg_obj = {"input_csv": "volumes.csv", **cfg_obj}
+            code, stderr, files = run_in_process(tmp_path / name, "calibrate", cfg_obj)
+            assert (code, stderr) == (0, "")
+            runs[name] = {p.name: p.read_bytes() for p in files}
+        fit = runs["default"].pop("calibration_fit.json")
+        assert runs["renamed"] == {**runs["default"], "calibrated.csv.tmp": fit}
+
+    def test_a_file_named_like_a_temp_file_is_kept(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "bootstrap.json.tmp").write_text("not the run's\n")
+        cfg_obj = {"a": [1, 2, 3], "b": [0, 0, 0], "n_resamples": 1000}
+        code, stderr, files = run_in_process(tmp_path, "bootstrap", cfg_obj)
+        assert (code, stderr) == (0, "")
+        assert [p.name for p in files] == ["bootstrap.json", "bootstrap.json.tmp"]
+        assert (out / "bootstrap.json.tmp").read_text() == "not the run's\n"
+        # the artifact is created as any new file is, with the mode the umask leaves
+        assert (out / "bootstrap.json").stat().st_mode == (out / "bootstrap.json.tmp").stat().st_mode
+
+
 # Adversarial finite JSON values: the float range's ends, a subnormal, signed and unsigned zeros, integers past int64
 # and past the float range, and values of the wrong type.
 ODD = [1e308, -1e308, 5e-324, -0.0, 0, -1, 2**63, 10**400, "1", None, True, [], {"a": 1}]

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestExpandScenario:
         betas = model.regions[1:-1]
         assert all(r.volume == 1.0 for r in betas)
         assert abs(sum(r.volume for r in betas) - 4.0) < 1e-12
+
+    def test_uncertain_regions_are_one_object_in_memory_bounded_by_the_arrays(self):
+        # one immutable region repeated K times: checked once, and K references in place of K objects
+        model = expand_scenario(scenario(100, 1, 4.0, 4, 0.5))
+        assert model.regions[1] is model.regions[-2]
+        tracemalloc.start()
+        try:
+            expand_scenario(scenario(100, 1, 1.0, 10**5, 0.5))
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mib < 6.0
 
     def test_zero_uncertain_volume_is_allowed(self):
         model = expand_scenario(scenario(0, 1, 0.0, 1, 0.3))

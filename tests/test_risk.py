@@ -27,7 +27,7 @@ from volbias import (
     scenario_prediction,
     sd_binomial_curve,
 )
-from volbias.losses import LOG_EPS
+from volbias.losses import LOG_EPS, SoftMap, _ce_terms, _clamped_logs, volume_of
 
 
 def scenario(s_alpha, s_gamma, mu, k, p):
@@ -352,7 +352,48 @@ class TestPredictionAssignment:
             assert other.p_pred.tolist() == [0.0, 0.25, 0.5, 1.0] and not other.p_pred.flags.writeable
             assert expected_ce(model, other).value.hex() == expected_ce(model, pred).value.hex()
 
+    def test_is_a_soft_map_and_copies_of_both_maps_stay_read_only(self):
+        model = expand_scenario(scenario(100, 1, 1.0, 2, 0.5))
+        pred = PredictionAssignment([0.0, 0.25, 0.5, 1.0])
+        assert isinstance(pred, SoftMap) and pred.p_pred is pred.values
+        for copy_of in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+            other_pred, other_model = copy_of(pred), copy_of(model)
+            assert isinstance(other_pred, PredictionAssignment) and other_pred.weights.tolist() == [1.0] * 4
+            arrays = (other_pred.p_pred, other_model.map.values, other_model.map.weights, other_model.volumes)
+            assert not any(a.flags.writeable for a in arrays)
+            assert other_model.volumes is other_model.map.weights
+            assert other_model.probabilities.tolist() == [0.0, 0.5, 0.5, 1.0]
+
     def test_scenario_prediction_shape(self):
         spec = scenario(100, 1, 4.0, 4, 0.5)
         pred = scenario_prediction(expand_scenario(spec), 0.3)
         assert pred.p_pred.tolist() == [0.0, 0.3, 0.3, 0.3, 0.3, 1.0]
+
+
+# a prediction at an endpoint, at or near the clamp LOG_EPS from either end, or anywhere in [0, 1]
+near_clamp = [0.0, 1.0, LOG_EPS, LOG_EPS / 2, 2 * LOG_EPS, 1.0 - LOG_EPS, 1.0 - LOG_EPS / 2, 1.0 - 2 * LOG_EPS]
+predictions = st.one_of(st.sampled_from(near_clamp), st.floats(0.0, 1.0))
+# (volume, foreground probability, prediction) of one region
+regions_and_predictions = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        predictions,
+    ),
+    min_size=1,
+    max_size=12,
+).filter(lambda rows: sum(v for v, _, _ in rows) > 0.0)
+
+
+class TestCrossEntropyIsTheLossOfTheModelMap:
+    """Expected CE is ``cross_entropy`` against the model's volume-weighted probability map, with the bits of the
+    closed-form sum it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(regions_and_predictions)
+    def test_expected_ce_keeps_the_bits_of_the_closed_form(self, rows):
+        model = RegionModel(tuple(Region(v, p) for v, p, _ in rows))
+        pred = PredictionAssignment([q for _, _, q in rows])
+        closed_form = float(model.volumes @ _ce_terms(model.probabilities, *_clamped_logs(pred.p_pred)))
+        assert expected_ce(model, pred).value == closed_form
+        assert volume_of(model.map) == float(model.volumes @ model.probabilities)

@@ -26,6 +26,7 @@ from volbias import (
     sd_minimizer,
     train,
 )
+from volbias.losses import LOG_EPS, _ce_terms, _clamped_logs
 from volbias.trainer import _fit, _objective, _split_indices, _support, sigmoid
 
 from pixel_reference import (
@@ -380,6 +381,31 @@ class TestCompactLossesAreExpectedLosses:
         assert sd_loss(q) == pytest.approx(expected_sd_exhaustive(model, pred).value, abs=1e-12)
         ce_loss = _objective("ce", configs, weights, volumes)[0]
         assert ce_loss(q) == pytest.approx(expected_ce(model, pred).value / volumes.sum(), abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda r: st.tuples(
+                st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=r, max_size=r), min_size=1, max_size=16),
+                st.lists(st.floats(1e-6, 1e6), min_size=r, max_size=r),
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, 1.0, LOG_EPS, 1.0 - LOG_EPS, LOG_EPS / 2]), st.floats(0.0, 1.0)),
+                    min_size=r,
+                    max_size=r,
+                ),
+            )
+        ),
+        st.integers(1, 1000),
+    )
+    def test_cross_entropy_keeps_the_bits_of_the_weighted_sum(self, support, repeats):
+        # the support as _support builds it: distinct rows, each seen a whole number of times
+        rows, volumes, y = support
+        configs, _ = _support(np.array(rows))
+        n = np.arange(1, len(configs) + 1) * repeats
+        volumes, y = np.array(volumes), np.array(y)
+        mean_l = n @ configs / n.sum()
+        weighted_sum = float(_ce_terms(mean_l, *_clamped_logs(y)) @ (volumes / volumes.sum()))
+        assert _objective("ce", configs, n, volumes)[0](y) == weighted_sum
 
 
 class TestTraining:
