@@ -34,19 +34,24 @@ __all__ = [
 LOG_EPS = 1e-12
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+class _Sealed(bytes):
+    """The private, immutable buffer under a sealed array.
+
+    A sealed array is a float view of one of these. numpy refuses to make a
+    view of ``bytes`` writable, so no caller can change a sealed array, and
+    only this module builds one. The subclasses below each name an input
+    rule and nest as the rules do: every 0/1 label is a probability, every
+    probability a valid weight. So the buffer's type says which rules its
+    entries already meet.
+    """
 
 
-def _checked(values, name: str, valid, rule: str) -> np.ndarray:
-    """A read-only 1-D float copy of ``values`` on which ``valid`` holds; NaN must fail it."""
-    v = np.array(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not valid(v):
-        raise ValueError(f"{name} must {rule}")
-    return _read_only(v)
+_FLOAT = np.dtype(float)
+
+
+def _seal(v: np.ndarray, kind: type = _Sealed) -> np.ndarray:
+    """A sealed 1-D float copy of ``v``, over a buffer of type ``kind``."""
+    return np.frombuffer(kind(v), dtype=_FLOAT)
 
 
 # One reduction per bound: a NaN entry makes the reduction NaN, which fails the comparison. An empty
@@ -60,17 +65,53 @@ def _finite_nonnegative(v: np.ndarray) -> bool:
     return v.size == 0 or (np.minimum.reduce(v) >= 0.0 and np.maximum.reduce(v) < np.inf)
 
 
+def _all_binary(v: np.ndarray) -> bool:
+    """Every entry is exactly 0 or 1, NaN being neither: the two counts are disjoint and must cover ``v``."""
+    return np.count_nonzero(v == 0.0) + np.count_nonzero(v == 1.0) == v.size
+
+
+class _Weights(_Sealed):
+    rule, holds = "be finite and >= 0", staticmethod(_finite_nonnegative)
+
+
+class _Probabilities(_Weights):
+    rule, holds = "lie in [0, 1]", staticmethod(_in_unit_interval)
+
+
+class _Labels(_Probabilities):
+    rule, holds = "be 0 or 1", staticmethod(_all_binary)
+
+
+def _checked(values, name: str, kind: type) -> np.ndarray:
+    """``values`` as a sealed 1-D float array on which ``kind.holds``; NaN must fail it.
+
+    An array sealed under ``kind``'s rule or a narrower one is its own
+    checked copy: it is returned as it is, neither copied nor checked again.
+    A view, copy or pickle of a sealed array is not sealed and is checked,
+    and so is any other reading of a sealed buffer than the whole of it as
+    floats.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and isinstance(values.base, kind)
+        and values.dtype is _FLOAT
+        and values.nbytes == len(values.base)
+    ):
+        return values
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if not kind.holds(v):
+        raise ValueError(f"{name} must {kind.rule}")
+    return _seal(v, kind)
+
+
 def _probabilities(values, name: str = "probabilities") -> np.ndarray:
-    return _checked(values, name, _in_unit_interval, "lie in [0, 1]")
-
-
-def _binary(v: np.ndarray) -> np.ndarray:
-    """Where ``v`` is exactly 0 or 1; NaN is neither."""
-    return (v == 0.0) | (v == 1.0)
+    return _checked(values, name, _Probabilities)
 
 
 def _binary_labels(values) -> np.ndarray:
-    return _checked(values, "labels", lambda v: _binary(v).all(), "be 0 or 1")
+    return _checked(values, "labels", _Labels)
 
 
 @dataclass(frozen=True)
@@ -83,21 +124,22 @@ class _Map:
     def __post_init__(self):
         values = self._check(self.values)
         weights = np.ones_like(values) if self.weights is None else self.weights
-        weights = _checked(weights, "weights", _finite_nonnegative, "be finite and >= 0")
+        weights = _checked(weights, "weights", _Weights)
         if weights.shape != values.shape:
             raise ValueError(f"weights shape {weights.shape} does not match values shape {values.shape}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
 
     def __reduce__(self):
-        # a copied or unpickled array would be writable and the cached logs stale: rebuild through the checks
+        # a shallow copy shares the sealed arrays; a deep copy or unpickled array is plain and rebuilt through
+        # the checks; neither keeps the cached logs
         return type(self), (self.values, self.weights)
 
-    # built on first use, then shared: read-only so no caller can change the map through them
+    # built on first use, then shared: sealed so no caller can change the map through them
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
         """The clamped ``log q`` and ``log(1 - q)`` of the values, as :func:`cross_entropy` reads them."""
-        return tuple(_read_only(a) for a in _clamped_logs(self.values))
+        return tuple(_seal(a) for a in _clamped_logs(self.values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -135,9 +177,14 @@ def _clamped_logs(q):
     return np.log(q), np.log(1.0 - q)
 
 
+def _log_likelihood(p, log_q, log_1q):
+    """Expected log-likelihood per entry, p log q + (1-p) log(1-q), from the logs of :func:`_clamped_logs`."""
+    return p * log_q + (1.0 - p) * log_1q
+
+
 def _ce_terms(p, log_q, log_1q):
-    """Expected CE per entry, -p log q - (1-p) log(1-q), from the logs of :func:`_clamped_logs`."""
-    return -p * log_q - (1.0 - p) * log_1q
+    """Expected CE per entry, -p log q - (1-p) log(1-q): the log-likelihood negated, to the same bits."""
+    return -_log_likelihood(p, log_q, log_1q)
 
 
 def _sd_ratio(inter, denom):
@@ -172,7 +219,8 @@ def cross_entropy(target: SoftMap | HardMap, pred: SoftMap) -> float:
     pays for them once.
     """
     _check_same_length(target, pred)
-    return float(target.weights @ _ce_terms(target.values, *pred._logs))
+    # ``0.0 -``, not a unary minus: an empty map scores +0.0
+    return float(0.0 - target.weights.dot(_log_likelihood(target.values, *pred._logs)))
 
 
 def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap | HardMap) -> float:
@@ -183,9 +231,9 @@ def soft_dice_loss(target: SoftMap | HardMap, pred: SoftMap | HardMap) -> float:
     empty is a perfect match.
     """
     _check_same_length(target, pred)
-    w = target.weights
-    inter = float(w @ (target.values * pred.values))
-    denom = float(w @ target.values + w @ pred.values)
+    w, t, p = target.weights, target.values, pred.values
+    inter = float(w.dot(t * p))
+    denom = float(w.dot(t) + w.dot(p))
     if denom == 0.0:
         return 0.0
     return 1.0 - 2.0 * inter / denom

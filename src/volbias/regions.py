@@ -67,8 +67,11 @@ class RegionModel:
             raise ValueError("a region model needs at least one region")
         if not 0 < sum(r.volume for r in self.regions) < np.inf:
             raise ValueError("total volume must be positive and finite")
-        # a copy or pickle of the model rebuilds the map through its checks, so its arrays stay read-only
-        object.__setattr__(self, "map", SoftMap([r.p_fg for r in self.regions], [r.volume for r in self.regions]))
+        # a copy or pickle of the model rebuilds the map through its checks, so its arrays stay sealed. Arrays,
+        # not lists, go in: sealing copies them once more, and at large K a list would add to the peak
+        n = len(self.regions)
+        probabilities = np.fromiter((r.p_fg for r in self.regions), float, n)
+        object.__setattr__(self, "map", SoftMap(probabilities, np.fromiter((r.volume for r in self.regions), float, n)))
 
     @property
     def volumes(self) -> np.ndarray:
@@ -135,20 +138,37 @@ class ScenarioSpec:
         )
 
 
-@dataclass(frozen=True)
 class LabelConfiguration:
-    """One realization of the per-region binary labels."""
+    """One realization of the per-region binary labels, kept as one checked, sealed 0/1 array."""
 
-    labels: tuple[int, ...]
+    __slots__ = ("_array",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(_binary_labels(self.labels).astype(int).tolist()))
+    def __init__(self, labels):
+        self._array = _binary_labels(labels)
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self._array.astype(int).tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.labels, dtype=float)
+        """The checked array itself, shared and read-only: a map built on it neither copies nor re-checks it."""
+        return self._array
+
+    def __eq__(self, other):
+        return self.labels == other.labels if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
+
+    def __reduce__(self):
+        # as a map's: a deep copy or unpickled array is plain and goes through the check again
+        return type(self), (self._array,)
+
+    def __repr__(self) -> str:
+        return f"LabelConfiguration(labels={self.labels})"
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return self._array.size
 
 
 def expand_scenario(spec: ScenarioSpec) -> RegionModel:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SoftMap, _binary, _sd_ratio, cross_entropy, threshold, volume_of
+from .losses import SoftMap, _all_binary, _sd_ratio, cross_entropy, threshold, volume_of
 from .regions import RegionModel, sample_labelings
 from .rng import make_rng
 
@@ -70,7 +70,7 @@ class ToyDataset:
         labels = np.asarray(self.labels, dtype=float)
         if labels.ndim != 2 or labels.shape[1] != len(self.model):
             raise ValueError("inconsistent dataset shapes")
-        if not _binary(labels).all():
+        if not _all_binary(labels):
             raise ValueError("labels must be 0 or 1")
         empty = np.flatnonzero(self.model.volumes == 0.0).tolist()
         if empty:

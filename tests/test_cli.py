@@ -692,8 +692,9 @@ class TestWriterTouchesOnlyItsArtifacts:
 # and past the float range, and values of the wrong type.
 ODD = [1e308, -1e308, 5e-324, -0.0, 0, -1, 2**63, 10**400, "1", None, True, [], {"a": 1}]
 # A key that sets an amount of work (n_seeds, max_epochs, a trained region count) takes only values it refuses, so
-# that a valid draw stays tiny: a huge valid n_seeds or max_epochs is a long run, and train-toy materializes one
-# region object per trained region, so a huge valid k_regions would exhaust memory before any check could fail.
+# that a valid draw stays tiny: a huge valid n_seeds or max_epochs is a long run, and train-toy builds model and
+# training arrays of one entry per trained region, so a huge valid k_regions would exhaust memory before any check
+# could fail.
 REFUSED_COUNTS = [0, -1, -0.0, 5e-324, 2.5, 10**400, "1", None, True]
 
 

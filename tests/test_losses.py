@@ -11,6 +11,10 @@ from hypothesis import strategies as st
 
 from volbias import (
     HardMap,
+    LabelConfiguration,
+    PredictionAssignment,
+    Region,
+    RegionModel,
     SoftMap,
     accuracy_01,
     cross_entropy,
@@ -116,6 +120,93 @@ class TestMapInputs:
             m.values[0] = 0.0
 
 
+def checked_arrays():
+    """(name, array) for every array a checked input hands out."""
+    target = HardMap([1, 0, 1], weights=[2.0, 0.5, 1.0])
+    pred = SoftMap([0.5, 0.25, 0.0])
+    model = RegionModel((Region(2.0, 0.0), Region(1.0, 0.5)))
+    return [
+        ("map values", target.values),
+        ("map weights", target.weights),
+        ("soft map values", pred.values),
+        ("unit weights", pred.weights),
+        ("log q", pred._logs[0]),
+        ("log 1-q", pred._logs[1]),
+        ("model volumes", model.volumes),
+        ("model probabilities", model.probabilities),
+        ("p_pred", PredictionAssignment([0.5, 1.0]).p_pred),
+        ("labels", LabelConfiguration([1.0, 0.0]).as_array()),
+    ]
+
+
+class TestSealedArrays:
+    """A checked array is sealed: it cannot be made writable, and a map built on it shares it unchecked."""
+
+    @pytest.mark.parametrize("name, array", checked_arrays(), ids=[name for name, _ in checked_arrays()])
+    def test_cannot_be_made_writable(self, name, array):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        assert not array.flags.writeable
+
+    def test_cached_logs_stay_those_of_the_values(self):
+        # a map whose values could be made writable again once scored itself from stale logs
+        m = SoftMap([0.2, 0.5])
+        expected = cross_entropy(m, m)
+        with pytest.raises(ValueError):
+            m.values.flags.writeable = True
+        assert bits(cross_entropy(m, m)) == bits(expected) == bits(clipped_ce(m, m))
+
+    def test_maps_share_sealed_arrays(self):
+        model = RegionModel((Region(2.0, 0.0), Region(1.0, 0.5), Region(0.5, 1.0)))
+        labels = LabelConfiguration([0.0, 1.0, 1.0]).as_array()
+        pred = PredictionAssignment([0.1, 0.5, 0.9])
+        hard = HardMap(labels, weights=model.volumes)
+        assert hard.values is labels and hard.weights is model.volumes
+        soft = SoftMap(pred.p_pred, weights=model.volumes)
+        assert soft.values is pred.p_pred and soft.weights is model.volumes
+        assert SoftMap(labels).values is labels  # every 0/1 label is a probability
+        assert HardMap([1.0, 0.0, 0.0], weights=labels).weights is labels  # and every probability a weight
+
+    def test_sealed_under_a_wider_rule_is_checked(self):
+        weights = SoftMap([0.5, 0.5], weights=[1.5, 2.0]).weights
+        assert SoftMap([0.1, 0.2], weights=weights).weights is weights
+        with pytest.raises(ValueError, match="lie in \\[0, 1\\]"):
+            SoftMap(weights)
+        with pytest.raises(ValueError, match="be 0 or 1"):
+            HardMap(SoftMap([1.0, 0.5]).values)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SoftMap([0.5, 0.5], weights=SoftMap([0.5, 0.5])._logs[0])
+
+    def test_only_the_sealed_array_itself_is_shared(self):
+        labels = HardMap([1.0, 0.0]).values
+        for part in (labels[::-1], labels[:1], np.frombuffer(labels.base, count=1)):
+            assert HardMap(part).values is not part
+        for other in (labels.reshape(1, 2), labels.view(np.int64), np.frombuffer(labels.base, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                HardMap(other)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_plain_read_only_arrays_are_checked(self, bad):
+        a = np.array([1.0, bad])
+        a.flags.writeable = False
+        for make in (SoftMap, HardMap, lambda v: SoftMap([1.0, 0.0], weights=v)):
+            with pytest.raises(ValueError, match="must"):
+                make(a)
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+    def test_copies_keep_the_values_sealed_and_drop_the_logs(self, clone):
+        pred = SoftMap([0.5, 0.25, 0.0], weights=[2.0, 0.5, 1.0])
+        cross_entropy(pred, pred)  # takes the logs
+        other = clone(pred)
+        assert "_logs" not in vars(other)
+        assert other.values.tolist() == pred.values.tolist() and other.weights.tolist() == pred.weights.tolist()
+        for a in (other.values, other.weights, *other._logs):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+        if clone is copy.copy:
+            assert other.values is pred.values and other.weights is pred.weights
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
         assert cross_entropy(SoftMap([1.0]), SoftMap([1.0])) == pytest.approx(0.0, abs=1e-10)
@@ -183,6 +274,19 @@ class TestCrossEntropyBits:
         target = HardMap(labels, weights=w) if hard else SoftMap(soft_p, weights=w)
         pred = SoftMap(q, weights=w)
         assert bits(cross_entropy(target, pred)) == bits(clipped_ce(target, pred))
+
+
+class TestSoftDiceBits:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        entries=st.lists(st.tuples(st.sampled_from([0.0, 1.0]), PREDICTION, st.floats(0.0, 1e3)), max_size=8),
+    )
+    def test_equals_the_matrix_product_formula(self, entries):
+        labels, q, w = (list(c) for c in zip(*entries)) if entries else ([], [], [])
+        target, pred = HardMap(labels, weights=w), SoftMap(q, weights=w)
+        w, t, p = target.weights, target.values, pred.values
+        inter, denom = float(w @ (t * p)), float(w @ t + w @ p)
+        assert bits(soft_dice_loss(target, pred)) == bits(0.0 if denom == 0.0 else 1.0 - 2.0 * inter / denom)
 
 
 class TestSoftDice:

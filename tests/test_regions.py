@@ -206,6 +206,15 @@ class TestLabelConfiguration:
         cfg = LabelConfiguration(np.array([1.0, 0.0, 1.0]))
         assert cfg.labels == (1, 0, 1) and all(type(v) is int for v in cfg.labels)
 
+    def test_copies_are_equal_and_sealed(self):
+        cfg = LabelConfiguration([1.0, 0.0, 1.0])
+        assert cfg.as_array() is cfg.as_array()
+        for other in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert other == cfg and hash(other) == hash(cfg) and other.as_array().tolist() == [1.0, 0.0, 1.0]
+            with pytest.raises(ValueError):
+                other.as_array().flags.writeable = True
+        assert cfg != LabelConfiguration([1.0, 0.0, 0.0]) and repr(cfg) == "LabelConfiguration(labels=(1, 0, 1))"
+
 
 class TestScenarioJson:
     def test_round_trip_uses_exact_keys(self):
